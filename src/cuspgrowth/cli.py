@@ -229,7 +229,7 @@ def _tower_run(config: RunConfig) -> Rendered:
         raise ValidationError(f"unknown family {family!r}; expected A, B, or C")
     emit_spec = config.params.get("emit_spec")
     if emit_spec:
-        Path(emit_spec).write_text(dumps_canonical(tower_spec_to_json(spec)))
+        _write(emit_spec, dumps_canonical(tower_spec_to_json(spec)))
     report = analyze_tower(spec)
     doc = tower_report_to_json(report)
     table, csv_text = _tower_tables(report)
@@ -256,7 +256,12 @@ def _tower_analyze(config: RunConfig) -> Rendered:
 
 
 def _congruence_orders(config: RunConfig) -> Rendered:
-    family = GroupFamily(config.params["family"].upper())
+    family = config.params["family"].upper()
+    if family not in GroupFamily.__members__:
+        raise ValidationError(
+            f"unknown family {family!r}; expected one of {', '.join(GroupFamily.__members__)}"
+        )
+    family = GroupFamily[family]
     m = config.params["m"]
     q = config.params["q"]
     method = config.params.get("method", "formula")
@@ -406,9 +411,16 @@ def _emit(config: RunConfig, rendered: Rendered) -> None:
             )
         text = csv_text
     if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
+        _write(config.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc}") from exc
 
 
 def run(config: RunConfig) -> int:

@@ -6,13 +6,18 @@ values are immutable and safe to share between threads.  Degenerate
 matrix shapes (zero rows or zero columns) are permitted so that empty
 generating sets and homomorphisms to the trivial group have honest
 representations.
+
+One elimination, `_smith_eliminate`, works in place on plain lists of
+rows.  Only `smith_normal_form` asks it for transforms; the internal
+callers need a diagonal or an order, run it on the bare rows of
+[diag(d) | generators], and build no intermediate `IntMatrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from math import prod
+from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 
@@ -92,38 +97,13 @@ class IntMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(self.column(j) for j in range(self.cols)), self.rows)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValidationError(
-                f"cannot stack {self.shape} beside {other.shape}: row counts differ"
-            )
-        return IntMatrix(
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-            self.cols + other.cols,
-        )
+        return [tuple(row[j] for row in self.entries) for j in range(self.cols)]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
-            raise ValidationError(
-                f"cannot multiply {self.shape} by {other.shape}"
-            )
-        ot = other.transpose()
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot.entries)
-                for row in self.entries
-            ),
-            other.cols,
-        )
+            raise ValidationError(f"cannot multiply {self.shape} by {other.shape}")
+        return IntMatrix.from_rows(_product_rows(self.entries, other), other.cols)
 
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination."""
@@ -169,101 +149,100 @@ class SmithDecomposition:
         return sum(1 for x in self.diagonal if x != 0)
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms.
+def _smith_eliminate(m: list[list[int]], nrows: int, ncols: int) -> None:
+    """Bring the top-left `nrows` x `ncols` block of `m` to Smith normal
+    form, in place.
+
+    Operations combine only rows, and only columns, of the block, but
+    act on whole rows and whole columns of `m`.  So entries right of the
+    block record the row operations and entries below it the column
+    operations: [[A, I_r], [I_c]] becomes [[D, U], [V]] with U A V = D
+    (rows below the block need only `ncols` entries).  Internal callers
+    pass the bare block and take no transforms.
 
     Pivot selection: the nonzero entry of least absolute value in the
     active block, ties broken by lowest (row, col); this makes the
     output deterministic for a fixed input.  Diagonal entries come out
     nonnegative, each dividing the next, zeros trailing.
     """
-    nrows, ncols = a.rows, a.cols
-    m = [list(row) for row in a.entries]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_addmul(i, j, t):
-        # row i += t * row j
-        mi, mj = m[i], m[j]
-        for c in range(ncols):
-            mi[c] += t * mj[c]
-        ui, uj = u[i], u[j]
-        for c in range(nrows):
-            ui[c] += t * uj[c]
-
-    def col_addmul(i, j, t):
-        # col i += t * col j
-        for row in m:
-            row[i] += t * row[j]
-        for row in v:
-            row[i] += t * row[j]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    def find_pivot(s):
-        best = None
-        for i in range(s, nrows):
-            for j in range(s, ncols):
-                x = m[i][j]
-                if x != 0 and (best is None or abs(x) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
     for s in range(min(nrows, ncols)):
         while True:
-            pivot = find_pivot(s)
+            pivot = None
+            least = 0
+            for i in range(s, nrows):
+                row = m[i]
+                for j in range(s, ncols):
+                    x = abs(row[j])
+                    if x and (pivot is None or x < least):
+                        pivot, least = (i, j), x
             if pivot is None:
-                break
+                return
             pi, pj = pivot
             if pi != s:
-                row_swap(s, pi)
+                m[s], m[pi] = m[pi], m[s]
             if pj != s:
-                col_swap(s, pj)
+                for row in m:
+                    row[s], row[pj] = row[pj], row[s]
             if m[s][s] < 0:
-                negate_row(s)
-            p = m[s][s]
+                m[s] = [-x for x in m[s]]
+            top = m[s]
+            p = top[s]
             for i in range(s + 1, nrows):
-                if m[i][s] != 0:
-                    row_addmul(i, s, -(m[i][s] // p))
+                if m[i][s]:
+                    t = m[i][s] // p
+                    m[i] = [x - t * y for x, y in zip(m[i], top)]
             for j in range(s + 1, ncols):
-                if m[s][j] != 0:
-                    col_addmul(j, s, -(m[s][j] // p))
-            if any(m[i][s] for i in range(s + 1, nrows)):
-                continue
-            if any(m[s][j] for j in range(s + 1, ncols)):
+                if top[j]:
+                    t = top[j] // p
+                    for row in m:
+                        row[j] -= t * row[s]
+            if any(m[i][s] for i in range(s + 1, nrows)) or any(top[s + 1:ncols]):
                 continue
             # Row and column are clear; enforce divisibility of the rest.
-            offender = None
-            for i in range(s + 1, nrows):
-                for j in range(s + 1, ncols):
-                    if m[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(s + 1, nrows)
+                 if any(x % p for x in m[i][s + 1:ncols])),
+                None,
+            )
             if offender is None:
                 break
-            row_addmul(s, offender, 1)
-        if find_pivot(s) is None:
-            break
+            m[s] = [x + y for x, y in zip(top, m[offender])]
 
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with unimodular transforms.
+
+    Runs `_smith_eliminate` on [[A, I_r], [I_c]] and slices U, D and V
+    out of the result.
+    """
+    nrows, ncols = a.shape
+    m = [list(row) + [int(i == j) for j in range(nrows)] for i, row in enumerate(a.entries)]
+    m += [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    _smith_eliminate(m, nrows, ncols)
     return SmithDecomposition(
-        u=IntMatrix.from_rows(u, nrows),
-        d=IntMatrix.from_rows(m, ncols),
-        v=IntMatrix.from_rows(v, ncols),
+        u=IntMatrix.from_rows([row[ncols:] for row in m[:nrows]], nrows),
+        d=IntMatrix.from_rows([row[:ncols] for row in m[:nrows]], ncols),
+        v=IntMatrix.from_rows(m[nrows:], ncols),
     )
+
+
+def _cokernel_diagonal(factors: Sequence[int], gen_rows: Iterable[Sequence[int]]) -> list[int]:
+    """Smith diagonal of [diag(factors) | gen_rows]: the invariant
+    factors of the quotient of (+) Z/d_i by the generators, units kept.
+
+    `gen_rows` has one row per factor; each column is a generator.
+    """
+    s = len(factors)
+    m = [[d if j == i else 0 for j in range(s)] + list(row)
+         for i, (d, row) in enumerate(zip(factors, gen_rows))]
+    _smith_eliminate(m, s, len(m[0]) if m else 0)
+    return [m[i][i] for i in range(s)]
+
+
+def _product_rows(rows: Iterable[Sequence[int]], b: IntMatrix) -> list[list[int]]:
+    """The rows of `rows` @ `b`, as plain lists."""
+    cols = b.columns()
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -312,10 +291,7 @@ class FiniteAbelianGroup:
             if m <= 0:
                 raise ValidationError(f"cyclic factor moduli must be positive, got {m}")
         ms = [m for m in ms if m > 1]
-        if not ms:
-            return cls(())
-        snf = smith_normal_form(IntMatrix.diagonal(ms))
-        return cls(snf.diagonal)
+        return cls(tuple(_cokernel_diagonal(ms, [()] * len(ms))))
 
     @property
     def rank(self) -> int:
@@ -323,18 +299,11 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        result = 1
-        for d in self.invariant_factors:
-            result *= d
-        return result
+        return prod(self.invariant_factors)
 
     @property
     def is_trivial(self) -> bool:
         return not self.invariant_factors
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        """Iterate all elements as coefficient tuples; meant for small groups."""
-        return product(*(range(d) for d in self.invariant_factors))
 
     def __str__(self) -> str:
         if self.is_trivial:
@@ -388,20 +357,25 @@ def cokernel(target: FiniteAbelianGroup, generators: IntMatrix) -> FiniteAbelian
     coordinates.  Computed as the cokernel of the block matrix
     [diag(d_i) | generators] via Smith normal form.
     """
-    s = target.rank
-    if generators.rows != s:
+    if generators.rows != target.rank:
         raise ValidationError(
             f"generator matrix has {generators.rows} rows but the target "
-            f"has {s} invariant factors"
+            f"has {target.rank} invariant factors"
         )
-    if s == 0:
-        return FiniteAbelianGroup.trivial()
-    block = IntMatrix.diagonal(list(target.invariant_factors)).hstack(generators)
-    snf = smith_normal_form(block)
-    diag = snf.diagonal
-    if any(d == 0 for d in diag):
-        raise ValidationError("cokernel is infinite; this cannot happen for a finite target")
-    return FiniteAbelianGroup(diag)
+    return FiniteAbelianGroup(
+        tuple(_cokernel_diagonal(target.invariant_factors, generators.entries))
+    )
+
+
+def _image_rows(rho: AbelianHom, sublattice: IntMatrix) -> list[list[int]]:
+    """The images of the sublattice's generator columns, in the target's
+    coordinates (unreduced): the rows of rho.images @ sublattice."""
+    if sublattice.rows != rho.source_rank:
+        raise ValidationError(
+            f"sublattice has {sublattice.rows} rows but the homomorphism "
+            f"expects {rho.source_rank}"
+        )
+    return _product_rows(rho.images.entries, sublattice)
 
 
 def image_index(rho: AbelianHom, sublattice: IntMatrix) -> int:
@@ -410,31 +384,18 @@ def image_index(rho: AbelianHom, sublattice: IntMatrix) -> int:
     `sublattice` has k rows; its columns generate L.  Equals |G| when
     the image is trivial, and 1 when the restriction is surjective.
     """
-    if sublattice.rows != rho.source_rank:
-        raise ValidationError(
-            f"sublattice has {sublattice.rows} rows but the homomorphism "
-            f"expects {rho.source_rank}"
-        )
-    image_gens = rho.images @ sublattice
-    return cokernel(rho.target, image_gens).order
+    factors = rho.target.invariant_factors
+    return prod(_cokernel_diagonal(factors, _image_rows(rho, sublattice)))
 
 
 def is_surjective(rho: AbelianHom) -> bool:
     """True iff the homomorphism maps Z^k onto its target."""
-    return image_index(rho, IntMatrix.identity(rho.source_rank)) == 1
+    return prod(_cokernel_diagonal(rho.target.invariant_factors, rho.images.entries)) == 1
 
 
 def kernel_contains(rho: AbelianHom, sublattice: IntMatrix) -> bool:
     """True iff every generator column of the sublattice maps to 0."""
-    if sublattice.rows != rho.source_rank:
-        raise ValidationError(
-            f"sublattice has {sublattice.rows} rows but the homomorphism "
-            f"expects {rho.source_rank}"
-        )
-    mapped = rho.images @ sublattice
     factors = rho.target.invariant_factors
     return all(
-        mapped[i, j] % factors[i] == 0
-        for i in range(mapped.rows)
-        for j in range(mapped.cols)
+        x % d == 0 for row, d in zip(_image_rows(rho, sublattice), factors) for x in row
     )

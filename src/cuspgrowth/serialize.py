@@ -25,7 +25,7 @@ from .towers import (
     TowerReport,
     TowerSpec,
 )
-from .weights import IntStatus, PairWitness, WeightTuple, parse_fraction
+from .weights import IntStatus, PairWitness, WeightTuple
 
 #: JSON sentinel for a level with no applicable b1 bound.
 UNBOUNDED = "UNBOUNDED_BY_METHOD"
@@ -41,14 +41,6 @@ def fraction_to_json(x: Fraction) -> str:
 
 def weights_to_json(mu: WeightTuple) -> list[str]:
     return mu.as_strings()
-
-
-def weights_from_json(data: Any) -> WeightTuple:
-    if not isinstance(data, list) or any(not isinstance(x, str) for x in data):
-        raise ValidationError(
-            "a weight tuple must be a JSON array of 'p/q' strings (no floats)"
-        )
-    return WeightTuple(tuple(parse_fraction(x) for x in data))
 
 
 def int_status_to_json(status: IntStatus) -> dict:
@@ -75,6 +67,28 @@ def _parse_int(x: Any, what: str) -> int:
     raise ValidationError(f"{what}: expected an integer or decimal string, got {x!r}")
 
 
+def _array(data: Any, what: str) -> list:
+    if not isinstance(data, list):
+        raise ValidationError(f"{what}: expected a JSON array, got {type(data).__name__}")
+    return data
+
+
+def _member(data: Any, key: str, what: str, kind: type = object) -> Any:
+    """`data[key]`, where `data` must be a JSON object holding a `kind` at `key`."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what}: expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValidationError(f"{what}.{key}: missing")
+    if not isinstance(data[key], kind):
+        raise ValidationError(f"{what}.{key}: expected {kind.__name__}, "
+                              f"got {type(data[key]).__name__}")
+    return data[key]
+
+
+def _int_member(data: Any, key: str, what: str) -> int:
+    return _parse_int(_member(data, key, what), f"{what}.{key}")
+
+
 def matrix_to_json(m: IntMatrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in m.entries]
 
@@ -92,11 +106,9 @@ def group_to_json(g: FiniteAbelianGroup) -> list[str]:
     return [str(d) for d in g.invariant_factors]
 
 
-def group_from_json(data: Any) -> FiniteAbelianGroup:
-    if not isinstance(data, list):
-        raise ValidationError("invariant_factors must be a JSON array")
+def group_from_json(data: Any, what: str = "invariant_factors") -> FiniteAbelianGroup:
     return FiniteAbelianGroup.from_cyclic_factors(
-        [_parse_int(x, "invariant_factors") for x in data]
+        [_parse_int(x, what) for x in _array(data, what)]
     )
 
 
@@ -107,12 +119,11 @@ def hom_to_json(rho: AbelianHom) -> dict:
     }
 
 
-def hom_from_json(data: Any, ambient_rank: int) -> AbelianHom:
-    if not isinstance(data, dict):
-        raise ValidationError("each level must be an object with "
-                              "invariant_factors and images")
-    target = group_from_json(data.get("invariant_factors"))
-    images = matrix_from_json(data.get("images"), cols=ambient_rank, what="images")
+def hom_from_json(data: Any, ambient_rank: int, what: str = "level") -> AbelianHom:
+    target = group_from_json(_member(data, "invariant_factors", what),
+                             f"{what}.invariant_factors")
+    images = matrix_from_json(_member(data, "images", what), cols=ambient_rank,
+                              what=f"{what}.images")
     return AbelianHom(target, images)
 
 
@@ -139,6 +150,7 @@ def base_to_json(base: BaseSpace) -> Any:
 
 
 def base_from_json(data: Any) -> BaseSpace:
+    """Parse a base; every shape error names its path, e.g. `base.cusps[0].name`."""
     if data == "hirzebruch":
         return HIRZEBRUCH
     if not isinstance(data, dict):
@@ -146,23 +158,28 @@ def base_from_json(data: Any) -> BaseSpace:
             "base must be the string 'hirzebruch' or an object with "
             "rank, cusps, and fibrations"
         )
-    rank = _parse_int(data.get("rank"), "base rank")
+    rank = _parse_int(data.get("rank"), "base.rank")
+    if rank < 0:
+        raise ValidationError(f"base.rank: must be >= 0, got {rank}")
     cusps = []
-    for c in data.get("cusps", []):
+    for i, c in enumerate(_array(data.get("cusps", []), "base.cusps")):
+        what = f"base.cusps[{i}]"
         cusps.append(
-            CuspData(str(c["name"]), matrix_from_json(c["sublattice"], cols=None,
-                                                      what=f"cusp {c.get('name')}"))
+            CuspData(_member(c, "name", what, str),
+                     matrix_from_json(_member(c, "sublattice", what),
+                                      what=f"{what}.sublattice"))
         )
     fibrations = []
-    for f in data.get("fibrations", []):
+    for i, f in enumerate(_array(data.get("fibrations", []), "base.fibrations")):
+        what = f"base.fibrations[{i}]"
         fibrations.append(
             FibrationData(
-                str(f["name"]),
-                matrix_from_json(f["kernel_sublattice"], cols=None,
-                                 what=f"fibration {f.get('name')}"),
-                target_rank=_parse_int(f["target_rank"], "target_rank"),
-                fiber_genus=_parse_int(f["fiber_genus"], "fiber_genus"),
-                fiber_punctures=_parse_int(f["fiber_punctures"], "fiber_punctures"),
+                _member(f, "name", what, str),
+                matrix_from_json(_member(f, "kernel_sublattice", what),
+                                 what=f"{what}.kernel_sublattice"),
+                target_rank=_int_member(f, "target_rank", what),
+                fiber_genus=_int_member(f, "fiber_genus", what),
+                fiber_punctures=_int_member(f, "fiber_punctures", what),
             )
         )
     return BaseSpace(rank, tuple(cusps), tuple(fibrations))
@@ -180,7 +197,8 @@ def tower_spec_from_json(data: Any) -> TowerSpec:
         raise ValidationError("a tower spec must be a JSON object")
     base = base_from_json(data.get("base"))
     levels = tuple(
-        hom_from_json(lv, base.ambient_rank) for lv in data.get("levels", [])
+        hom_from_json(lv, base.ambient_rank, f"levels[{i}]")
+        for i, lv in enumerate(_array(data.get("levels", []), "levels"))
     )
     return TowerSpec(base, levels)
 

@@ -14,6 +14,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def validation_message(code, err):
+    """The message of the single JSON error record of an exit-2 run."""
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"]["type"] == "validation"
+    return record["error"]["message"]
+
+
 class TestDmCommands:
     def test_check_int_tuple(self, capsys):
         code, out, err = run_cli(
@@ -167,6 +177,39 @@ class TestTowerCommands:
         code, _, err = run_cli(capsys, "tower", "analyze", "--spec", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("spec, path", [
+        ({"base": {"rank": 2, "cusps": [{"sublattice": [["1"], ["0"]]}]}},
+         "base.cusps[0].name"),
+        ({"base": {"rank": 2, "cusps": 5}}, "base.cusps"),
+        ({"base": "hirzebruch", "levels": 5}, "levels"),
+        ({"base": {"rank": -1}}, "base.rank"),
+        ({"base": {"rank": 1, "fibrations": [{"name": None}]}}, "base.fibrations[0].name"),
+    ], ids=["cusp-without-name", "cusps-not-array", "levels-not-array", "negative-rank",
+            "name-not-string"])
+    def test_malformed_spec_shape_exits_2(self, tmp_path, capsys, spec, path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "tower", "analyze", "--spec", str(spec_path))
+        assert out == ""
+        assert validation_message(code, err).startswith(path + ":")
+
+    def test_out_into_missing_directory_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "run.json"
+        code, _, err = run_cli(
+            capsys, "tower", "run", "--family", "A", "--prime", "3", "--depth", "2",
+            "--out", str(target),
+        )
+        assert "cannot write" in validation_message(code, err)
+
+    def test_emit_spec_into_missing_directory_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "spec.json"
+        code, out, err = run_cli(
+            capsys, "tower", "run", "--family", "A", "--prime", "3", "--depth", "2",
+            "--emit-spec", str(target),
+        )
+        assert out == ""
+        assert "cannot write" in validation_message(code, err)
+
 
 class TestCongruenceCommands:
     def test_orders_both_methods_agree(self, capsys):
@@ -187,6 +230,12 @@ class TestCongruenceCommands:
         assert code == 0
         # 12^3 * (1 - 1/4) * (1 - 1/9) = 1152
         assert json.loads(out)["results"][0]["order"] == 1152
+
+    def test_orders_unknown_family_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "congruence", "orders", "--family", "XX", "--m", "2", "--q", "3",
+        )
+        assert "unknown family 'XX'" in validation_message(code, err)
 
     def test_orders_brute_cap_exits_3(self, capsys):
         code, _, err = run_cli(

@@ -23,7 +23,6 @@ from cuspgrowth.serialize import (
     tower_report_to_json,
     tower_spec_from_json,
     tower_spec_to_json,
-    weights_from_json,
     weights_to_json,
 )
 from cuspgrowth.towers import analyze_level
@@ -34,11 +33,6 @@ class TestWeightsJson:
         mu = WeightTuple.parse("2/6,2/6,3/6,4/6,1/6")
         data = weights_to_json(mu)
         assert data == ["1/3", "1/3", "1/2", "2/3", "1/6"]
-        assert weights_from_json(data).weights == mu.weights
-
-    def test_no_floats_accepted(self):
-        with pytest.raises(ValidationError, match="no floats"):
-            weights_from_json([0.5, "1/2", "1/2", "1/2"])
 
 
 class TestMatrixJson:
