@@ -150,7 +150,8 @@ def _dm_contract(config: RunConfig) -> Rendered:
 def _dm_find_contraction(config: RunConfig) -> Rendered:
     mu = WeightTuple.parse(config.params["tuple"])
     nu = WeightTuple.parse(config.params["target"])
-    partition = weights.find_contraction(mu, nu)
+    cap = config.cap if config.cap is not None else weights.DEFAULT_CONTRACTION_CAP
+    partition = weights.find_contraction(mu, nu, cap=cap)
     if partition is None:
         doc = {"found": False, "source": weights_to_json(mu), "target": weights_to_json(nu)}
         return doc, "no admissible contraction\n", None
@@ -371,6 +372,8 @@ def _congruence_dtower(config: RunConfig) -> Rendered:
     lo = config.params["prime_min"]
     hi = config.params["prime_max"]
     primes = counts.primes_in_range(lo, hi)
+    if not primes:
+        raise ValidationError(f"no primes in [{lo}, {hi}]")
     series = counts.d_tower_series(n, genus, primes)
     doc = {
         "n": n,
@@ -451,7 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["json", "csv", "table"], default="table",
                         help="output format (default: table)")
     common.add_argument("--cap", type=int, default=None,
-                        help="resource cap for enumeration / brute-force searches")
+                        help="resource cap: raw candidates for dm enumerate and "
+                             "brute-force orders, search nodes for dm find-contraction")
     common.add_argument("--out", default=None, help="write output to this file")
 
     parser = argparse.ArgumentParser(

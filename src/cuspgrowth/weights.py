@@ -7,9 +7,16 @@ construction; the integrality test here asks, for every index pair with
 mu_i + mu_j < 1, whether (1 - mu_i - mu_j)^-1 is an integer, with a
 half-integral relaxation allowed at pairs of equal weights.
 
-All arithmetic in this module is exact (`fractions.Fraction`); there is
-no floating point here.  Every function is pure and safe to call
-concurrently.
+All arithmetic in this module is exact, with no floating point.
+Fractions appear only at the API boundary: the three search kernels
+(`check_int`, `enumerate_tuples`, `find_contraction`) scale a tuple to
+integer numerators over a common denominator d and work on those.  A
+pair then passes when gap = d - a_i - a_j is at most 0 or divides d,
+and is half-integral when a_i = a_j and gap divides 2d.
+`find_contraction` returns the lexicographically least admissible
+partition and `enumerate_tuples` skips every prefix that already holds
+a failing pair; both refuse searches beyond a cap.  Every function is
+pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -18,13 +25,16 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Optional, Sequence
 
 from .errors import ResourceLimitError, ValidationError
 
 #: Refuse `enumerate_tuples` searches whose raw candidate count exceeds this.
 DEFAULT_ENUMERATION_CAP = 5_000_000
+
+#: Refuse `find_contraction` searches that visit more nodes than this.
+DEFAULT_CONTRACTION_CAP = 5_000_000
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -127,6 +137,43 @@ class IntStatus:
             raise ValidationError("FAIL verdict requires at least one witness")
 
 
+def _numerators(ws: Sequence[Fraction], d: int) -> list[int]:
+    """The integers a_i with w_i = a_i / d; `d` must be a common denominator."""
+    return [w.numerator * (d // w.denominator) for w in ws]
+
+
+def _pair_verdict(a: int, b: int, d: int) -> Optional[IntVerdict]:
+    """Verdict of the pair (a/d, b/d), or None when it passes or is skipped.
+
+    With gap = d - a - b, the value (1 - a/d - b/d)^-1 is d / gap: an
+    integer when gap divides d, a half-integer when gap divides 2d.
+    """
+    gap = d - a - b
+    if gap <= 0 or d % gap == 0:
+        return None
+    if a == b and 2 * d % gap == 0:
+        return IntVerdict.HALF_INT
+    return IntVerdict.FAIL
+
+
+def _int_status(nums: Sequence[int], d: int) -> IntStatus:
+    """`check_int` on numerators over the common denominator `d`."""
+    half: list[PairWitness] = []
+    fail: list[PairWitness] = []
+    for i, j in combinations(range(len(nums)), 2):
+        verdict = _pair_verdict(nums[i], nums[j], d)
+        if verdict is not None:
+            witness = PairWitness(i, j, Fraction(d, d - nums[i] - nums[j]))
+            (half if verdict is IntVerdict.HALF_INT else fail).append(witness)
+    if fail:
+        verdict = IntVerdict.FAIL
+    elif half:
+        verdict = IntVerdict.HALF_INT
+    else:
+        verdict = IntVerdict.INT
+    return IntStatus(verdict, tuple(half), tuple(fail))
+
+
 def check_int(mu: WeightTuple) -> IntStatus:
     """Classify a weight tuple as INT, HALF_INT, or FAIL.
 
@@ -135,27 +182,12 @@ def check_int(mu: WeightTuple) -> IntStatus:
     are skipped.  Non-integral v is tolerated only when mu_i = mu_j and
     v is a half-integer; such pairs are recorded as half-integral
     witnesses.  Any other non-integral value is a failure witness.
+
+    The test runs on integer numerators a_i over d = lcm of the
+    denominators: with gap = d - a_i - a_j > 0, v = d / gap.
     """
-    half: list[PairWitness] = []
-    fail: list[PairWitness] = []
-    for i, j in combinations(range(len(mu)), 2):
-        pair_sum = mu[i] + mu[j]
-        if pair_sum >= 1:
-            continue
-        value = 1 / (1 - pair_sum)
-        if value.denominator == 1:
-            continue
-        if mu[i] == mu[j] and value.denominator == 2:
-            half.append(PairWitness(i, j, value))
-        else:
-            fail.append(PairWitness(i, j, value))
-    if fail:
-        verdict = IntVerdict.FAIL
-    elif half:
-        verdict = IntVerdict.HALF_INT
-    else:
-        verdict = IntVerdict.INT
-    return IntStatus(verdict, tuple(half), tuple(fail))
+    d = lcm(*(w.denominator for w in mu.weights))
+    return _int_status(_numerators(mu.weights, d), d)
 
 
 @dataclass(frozen=True)
@@ -227,69 +259,105 @@ def contract(mu: WeightTuple, partition: ContractionPartition) -> WeightTuple:
     return WeightTuple(tuple(sorted(partition.block_sums(mu))))
 
 
-def _partitions_into(indices: Sequence[int], k: int, max_sum: Fraction,
-                     mu: WeightTuple) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield all partitions of `indices` into exactly `k` nonempty blocks.
-
-    Prunes any block whose running weight sum exceeds `max_sum` (block
-    sums must land in the target multiset, all of whose entries are at
-    most `max_sum`).
-    """
-    n = len(indices)
-    blocks: list[list[int]] = []
-    sums: list[Fraction] = []
-
-    def recurse(pos: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if pos == n:
-            if len(blocks) == k:
-                yield tuple(tuple(b) for b in blocks)
-            return
-        idx = indices[pos]
-        w = mu[idx]
-        # Place into an existing block.
-        for b, block in enumerate(blocks):
-            if sums[b] + w <= max_sum:
-                block.append(idx)
-                sums[b] += w
-                yield from recurse(pos + 1)
-                block.pop()
-                sums[b] -= w
-        # Or open a new block, if room remains.
-        if len(blocks) < k and w <= max_sum:
-            blocks.append([idx])
-            sums.append(w)
-            yield from recurse(pos + 1)
-            blocks.pop()
-            sums.pop()
-
-    yield from recurse(0)
-
-
-def find_contraction(mu: WeightTuple, nu: WeightTuple) -> Optional[ContractionPartition]:
+def find_contraction(
+    mu: WeightTuple,
+    nu: WeightTuple,
+    cap: int = DEFAULT_CONTRACTION_CAP,
+) -> Optional[ContractionPartition]:
     """Search for a partition of `mu` contracting onto `nu`.
 
-    Exhaustive backtracking over partitions of mu's indices into
-    len(nu) blocks whose multiset of block sums equals the multiset of
-    nu's weights, with every merged block summing strictly below 1.
-    Returns the lexicographically least valid partition (in canonical
-    block order), or None if no partition works.
+    Finds a partition of mu's indices into len(nu) blocks whose multiset
+    of block sums equals the multiset of nu's weights, with every merged
+    block summing strictly below 1.  Returns the lexicographically least
+    such partition (in canonical block order), or None if none exists.
+
+    The search runs on integer numerators over the common denominator
+    d of both tuples and builds the partition block by block.  The block
+    holding the smallest unused index is grown in lexicographic
+    (preorder) order and closes only when its sum is an unused target
+    value; every target is below d, so merged blocks sum below d.  The
+    first complete partition is therefore the lex-least one.  States
+    (remaining weights, remaining targets) shown to have no completion
+    are remembered as multisets, so equal weights are not searched
+    twice.  Every partial block visited counts as one node; past `cap`
+    nodes the search is refused with a `ResourceLimitError` whose
+    `space` is the node count reached.  The search keeps its own stack,
+    so long tuples do not meet Python's recursion limit.
     """
     if len(nu) > len(mu):
         raise ValidationError(
             f"target tuple is longer than the source ({len(nu)} > {len(mu)})"
         )
-    target = sorted(nu.weights)
-    max_sum = target[-1]
-    best: Optional[tuple[tuple[int, ...], ...]] = None
-    for raw in _partitions_into(range(len(mu)), len(nu), max_sum, mu):
-        part = ContractionPartition(raw)
-        if sorted(part.block_sums(mu)) != target:
-            continue
-        if any(len(b) >= 2 and sum(mu[i] for i in b) >= 1 for b in part.blocks):
-            continue
-        if best is None or part.blocks < best:
-            best = part.blocks
-    return None if best is None else ContractionPartition(best)
+    d = lcm(*(w.denominator for w in (*mu.weights, *nu.weights)))
+    source = _numerators(mu.weights, d)
+    k = len(source)
+    used = [False] * k
+    nodes = 0
+
+    def closing_blocks(first: int, targets: list[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+        # The blocks holding `first` whose sum is a value in `targets`,
+        # with that sum, in lexicographic order.  A yielded block's
+        # indices stay marked in `used` until the next block is asked for.
+        nonlocal nodes
+        largest = targets[-1]
+        block, total = [first], source[first]
+        used[first] = True
+        while True:
+            nodes += 1
+            if nodes > cap:
+                raise ResourceLimitError(
+                    f"contraction search visited more than the configured cap of {cap} nodes",
+                    space=nodes,
+                    cap=cap,
+                )
+            if total in targets:
+                yield tuple(block), total
+            # Preorder successor: append the least fitting index after the
+            # last one, or else move the last index on, backtracking.
+            j = block[-1] + 1
+            while True:
+                j = next((i for i in range(j, k)
+                          if not used[i] and total + source[i] <= largest), None)
+                if j is not None:
+                    break
+                last = block.pop()
+                used[last] = False
+                if not block:
+                    return
+                total -= source[last]
+                j = last + 1
+            block.append(j)
+            used[j] = True
+            total += source[j]
+
+    # One level per open subproblem: its block source and its memo state
+    # (remaining weights, remaining targets).  Both sides sum to the same
+    # total, so no unused index is left exactly when no target is.
+    levels: list[tuple[Iterator, tuple[tuple[int, ...], tuple[int, ...]]]] = []
+    blocks: list[tuple[int, ...]] = []
+    infeasible: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    targets = sorted(_numerators(nu.weights, d))
+    while True:
+        first = next((i for i in range(k) if not used[i]), None)
+        if first is None:
+            return ContractionPartition(tuple(blocks))
+        state = (tuple(sorted(source[i] for i in range(k) if not used[i])), tuple(targets))
+        if state not in infeasible:
+            levels.append((closing_blocks(first, targets), state))
+        while True:
+            if not levels:
+                return None
+            candidates, level_state = levels[-1]
+            del blocks[len(levels) - 1:]
+            hit = next(candidates, None)
+            if hit is not None:
+                break
+            infeasible.add(level_state)
+            levels.pop()
+        block, total = hit
+        blocks.append(block)
+        targets = list(level_state[1])
+        targets.remove(total)
 
 
 def enumeration_space(length: int, max_denominator: int) -> int:
@@ -309,7 +377,8 @@ def enumerate_tuples(
     Tuples are emitted in ascending lexicographic order of their
     numerator vectors, deduplicated up to reordering (only the sorted
     form is generated).  Refuses to run when the raw search space
-    exceeds `cap`.
+    exceeds `cap`.  A prefix holding a failing pair is skipped with its
+    whole subtree, since the failure stays in every extension.
     """
     if length < 4:
         raise ValidationError(f"length must be >= 4, got {length}")
@@ -324,26 +393,34 @@ def enumerate_tuples(
         )
 
     d = max_denominator
+    # fails[b]: bit a is set when the pair (a/d, b/d) fails.  A FAIL pair
+    # stays in every extension of a prefix, so a candidate whose bit is
+    # set in the prefix's mask is skipped together with its subtree.
+    fails = [0] + [
+        sum(1 << a for a in range(1, d) if _pair_verdict(a, b, d) is IntVerdict.FAIL)
+        for b in range(1, d)
+    ]
     results: list[tuple[WeightTuple, IntStatus]] = []
     numerators: list[int] = []
 
-    def recurse(start: int, remaining: int, slots: int) -> None:
-        if slots == 0:
-            if remaining == 0:
-                mu = WeightTuple(tuple(Fraction(a, d) for a in numerators))
-                status = check_int(mu)
-                if status.verdict is not IntVerdict.FAIL:
-                    results.append((mu, status))
-            return
+    def recurse(start: int, remaining: int, slots: int, forbidden: int) -> None:
         # Nondecreasing continuation: feasibility bounds for the tail sum.
         if remaining < start * slots or remaining > (d - 1) * slots:
+            return
+        if slots == 1:
+            if not forbidden >> remaining & 1:
+                nums = numerators + [remaining]
+                mu = WeightTuple(tuple(Fraction(a, d) for a in nums))
+                results.append((mu, _int_status(nums, d)))
             return
         for a in range(start, d):
             if a * slots > remaining:
                 break
+            if forbidden >> a & 1:
+                continue
             numerators.append(a)
-            recurse(a, remaining - a, slots - 1)
+            recurse(a, remaining - a, slots - 1, forbidden | fails[a])
             numerators.pop()
 
-    recurse(1, 2 * d, length)
+    recurse(1, 2 * d, length, 0)
     return results

@@ -2,15 +2,17 @@
 
 These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion, invariant factors by gcds of minors, subgroup
-orders by breadth-first closure, and the integrality condition by a
-direct double loop.  They are slow and only meant for small inputs.
+orders by breadth-first closure, the integrality condition by a direct
+double loop, and contractions by listing every partition into the
+right number of blocks.  They are slow and only meant for small inputs.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import Iterator, Sequence
 
-from cuspgrowth import FiniteAbelianGroup, IntMatrix
+from cuspgrowth import ContractionPartition, FiniteAbelianGroup, IntMatrix, WeightTuple
 
 
 def det_cofactor(rows):
@@ -100,3 +102,56 @@ def int_condition_verdict(ws):
     if half:
         return "HALF_INT", half, fail
     return "INT", half, fail
+
+
+def partitions_into(indices: Sequence[int], k: int, max_sum: Fraction,
+                    mu: WeightTuple) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield all partitions of `indices` into exactly `k` nonempty blocks.
+
+    Prunes any block whose running weight sum exceeds `max_sum` (block
+    sums must land in the target multiset, all of whose entries are at
+    most `max_sum`).
+    """
+    n = len(indices)
+    blocks: list[list[int]] = []
+    sums: list[Fraction] = []
+
+    def recurse(pos: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if pos == n:
+            if len(blocks) == k:
+                yield tuple(tuple(b) for b in blocks)
+            return
+        idx = indices[pos]
+        w = mu[idx]
+        # Place into an existing block.
+        for b, block in enumerate(blocks):
+            if sums[b] + w <= max_sum:
+                block.append(idx)
+                sums[b] += w
+                yield from recurse(pos + 1)
+                block.pop()
+                sums[b] -= w
+        # Or open a new block, if room remains.
+        if len(blocks) < k and w <= max_sum:
+            blocks.append([idx])
+            sums.append(w)
+            yield from recurse(pos + 1)
+            blocks.pop()
+            sums.pop()
+
+    yield from recurse(0)
+
+
+def admissible_contractions(mu: WeightTuple, nu: WeightTuple):
+    """Every partition of `mu` contracting onto `nu`, in canonical block
+    form: block sums equal nu as multisets, merged blocks sum below 1."""
+    target = sorted(nu.weights)
+    found = []
+    for raw in partitions_into(range(len(mu)), len(nu), target[-1], mu):
+        part = ContractionPartition(raw)
+        if sorted(part.block_sums(mu)) != target:
+            continue
+        if any(len(b) >= 2 and sum(mu[i] for i in b) >= 1 for b in part.blocks):
+            continue
+        found.append(part.blocks)
+    return found

@@ -79,6 +79,21 @@ class TestDmCommands:
         assert code == 0
         assert json.loads(out)["found"] is False
 
+    def test_find_contraction_cap_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "dm", "find-contraction",
+            "--tuple", ",".join(["1/6"] * 12), "--target", "1/2,1/2,1/2,1/2",
+            "--cap", "5",
+        )
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"]["type"] == "resource"
+        assert record["error"]["space"] == 6
+        assert record["error"]["cap"] == 5
+
     def test_enumerate_cap_exits_3(self, capsys):
         code, out, err = run_cli(
             capsys, "dm", "enumerate", "--length", "5", "--max-denominator", "6",
@@ -289,6 +304,22 @@ class TestCongruenceCommands:
         assert code == 0
         doc = json.loads(out)
         assert [d["q"] for d in doc["series"]] == [5, 7, 11, 13]
+
+    def test_dtower_empty_prime_range_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "congruence", "dtower", "--n", "2",
+            "--prime-min", "50", "--prime-max", "5",
+        )
+        assert out == ""
+        assert validation_message(code, err) == "no primes in [50, 5]"
+
+    def test_exponents_empty_prime_range_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "congruence", "exponents", "--n", "2",
+            "--prime-min", "50", "--prime-max", "5",
+        )
+        assert out == ""
+        assert validation_message(code, err) == "need at least 2 primes in [50, 5], got 0"
 
 
 class TestRunConfig:

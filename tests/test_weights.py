@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspgrowth import (
@@ -15,7 +16,7 @@ from cuspgrowth import (
     enumerate_tuples,
     find_contraction,
 )
-from oracles import int_condition_verdict
+from oracles import admissible_contractions, int_condition_verdict, partitions_into
 
 F = Fraction
 
@@ -153,11 +154,9 @@ class TestFindContraction:
     def test_six_tuple_every_solution_has_two_merged_blocks(self):
         # Exhaustive: no admissible partition of the 6-tuple onto the
         # 4-tuple uses a 3-block, and the search returns the least one.
-        from cuspgrowth.weights import _partitions_into
-
         target = sorted(NU4.weights)
         valid = []
-        for raw in _partitions_into(range(6), 4, max(target), MU6):
+        for raw in partitions_into(range(6), 4, max(target), MU6):
             part = ContractionPartition(raw)
             if sorted(part.block_sums(MU6)) != target:
                 continue
@@ -172,6 +171,34 @@ class TestFindContraction:
     def test_target_longer_than_source_rejected(self):
         with pytest.raises(ValidationError, match="longer"):
             find_contraction(NU4, MU6)
+
+    @pytest.mark.parametrize("n, den", [(24, 12), (48, 24)])
+    def test_repeated_weights_stay_far_below_a_small_cap(self, n, den):
+        # n x (1/den) onto 4 x (1/2): the exhaustive search ran for
+        # minutes at n = 24; equal weights collapse in the memo.
+        mu = WeightTuple((F(1, den),) * n)
+        nu = WeightTuple((F(1, 2),) * 4)
+        partition = find_contraction(mu, nu, cap=1000)
+        size = n // 4
+        assert partition.blocks == tuple(
+            tuple(range(b * size, (b + 1) * size)) for b in range(4)
+        )
+
+    def test_long_source_needs_no_deep_recursion(self):
+        # Blocks of 250 indices and 1000 singleton blocks: the search
+        # keeps its own stack, so Python's recursion limit is no bound.
+        mu = WeightTuple((F(1, 500),) * 1000)
+        partition = find_contraction(mu, WeightTuple((F(1, 2),) * 4))
+        assert [len(b) for b in partition.blocks] == [250] * 4
+        assert find_contraction(mu, mu).is_identity
+
+    def test_node_cap(self):
+        mu = WeightTuple((F(1, 6),) * 12)
+        nu = WeightTuple((F(1, 2),) * 4)
+        with pytest.raises(ResourceLimitError) as err:
+            find_contraction(mu, nu, cap=5)
+        assert err.value.space == 6
+        assert err.value.cap == 5
 
     def test_round_trip_on_enumerated_tuples(self):
         for mu, _ in enumerate_tuples(5, 6):
@@ -209,6 +236,27 @@ class TestEnumerate:
             assert mu.weights == tuple(sorted(mu.weights))
             assert mu.weights not in seen
             seen.add(mu.weights)
+
+    @pytest.mark.parametrize("length, den", [(4, 2), (4, 8), (5, 6), (6, 6), (4, 12), (5, 12)])
+    def test_matches_brute_recount(self, length, den):
+        # Every sorted numerator vector summing to 2 * den, classified by
+        # the double-loop oracle; (5, 6) and (6, 6) hold HALF_INT tuples.
+        expected = []
+        for nums in combinations_with_replacement(range(1, den), length):
+            if sum(nums) != 2 * den:
+                continue
+            ws = tuple(F(a, den) for a in nums)
+            verdict, half, _ = int_condition_verdict(ws)
+            if verdict != "FAIL":
+                expected.append((ws, verdict, half))
+        found = [
+            (mu.weights, status.verdict.value,
+             [((w.i, w.j), w.value) for w in status.half_witnesses])
+            for mu, status in enumerate_tuples(length, den)
+        ]
+        assert found == expected
+        if den == 6:
+            assert any(verdict == "HALF_INT" for _, verdict, _ in expected)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError) as err:
@@ -251,3 +299,67 @@ def test_check_int_permutation_invariance_random(mu, rng):
     ws = list(mu.weights)
     rng.shuffle(ws)
     assert check_int(WeightTuple(tuple(ws))).verdict is check_int(mu).verdict
+
+
+def _composition(draw, total, n, d, pool=None):
+    """Numerators in [1, d - 1] summing to `total`, drawn from `pool`
+    where it allows a completion; None when no completion exists."""
+    parts = []
+    for slot in range(n - 1, 0, -1):
+        lo = max(1, total - (d - 1) * slot)
+        hi = min(d - 1, total - slot)
+        if lo > hi:
+            return None
+        choices = [p for p in pool or () if lo <= p <= hi]
+        part = draw(st.sampled_from(choices) if choices else st.integers(lo, hi))
+        parts.append(part)
+        total -= part
+    return parts + [total] if 1 <= total <= d - 1 else None
+
+
+@st.composite
+def contraction_instances(draw):
+    """A source of length <= 8, often with repeated weights, and a target
+    that is either a contraction of it or a random (mostly unsolvable)
+    tuple, possibly with one weight moved off a block sum."""
+    d = draw(st.sampled_from((4, 6, 8, 12)))
+    n = draw(st.integers(4, 8))
+    k = draw(st.integers(4, n))
+    pool = draw(st.lists(st.integers(1, d - 1), min_size=1, max_size=3))
+    source = _composition(draw, 2 * d, n, d, pool if draw(st.booleans()) else None)
+    if source is None:
+        source = _composition(draw, 2 * d, n, d)
+    if source is None:
+        source = [2 * d // n] * (n - 2 * d % n) + [2 * d // n + 1] * (2 * d % n)
+    target = None
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        sums = [sum(a for a, b in zip(source, labels) if b == block) for block in range(k)]
+        if all(0 < s < d for s in sums):
+            target = sums
+            if draw(st.booleans()):
+                i, j = draw(st.permutations(range(k)))[:2]
+                delta = draw(st.integers(1, 2))
+                if 0 < target[i] + delta < d and 0 < target[j] - delta < d:
+                    target[i] += delta
+                    target[j] -= delta
+    if target is None:
+        target = _composition(draw, 2 * d, k, d) or source[:]
+    return (WeightTuple(tuple(F(a, d) for a in source)),
+            WeightTuple(tuple(F(a, d) for a in target)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(contraction_instances())
+# The remaining weights {1/6, 5/6} meet the targets {2/6, 4/6} (no
+# completion) and later {1/6, 5/6}: a memo keyed on the weights and the
+# number of targets would wrongly report no contraction.
+@example((WeightTuple.parse("3/6,2/6,1/6,1/6,5/6"), WeightTuple.parse("1/6,2/6,4/6,5/6")))
+def test_find_contraction_is_the_least_admissible_partition(instance):
+    mu, nu = instance
+    valid = admissible_contractions(mu, nu)
+    partition = find_contraction(mu, nu)
+    if valid:
+        assert partition.blocks == min(valid)
+    else:
+        assert partition is None
