@@ -287,9 +287,10 @@ def _congruence_orders(config: RunConfig) -> Rendered:
 
 def _exponent_checks(n: int, genus: int, primes: list[int],
                      tolerance: Optional[float]) -> list[dict]:
-    series = counts.d_tower_series(n, genus, primes)
+    series = counts.d_tower_series(n, genus, primes, sieved=True)
     vol_vs_q = [(d.q, d.vol_proxy) for d in series]
-    psl2_vs_q = [(d.q, counts.psl2_order(d.q)) for d in series]
+    # b1 = 2 + (2g - 2) |PSL_2(F_q)|, so the PSL_2 order is read back exactly.
+    psl2_vs_q = [(d.q, (d.b1_proxy - 2) // (2 * genus - 2)) for d in series]
     cusp_vs_q = [(d.q, d.cusp_proxy) for d in series]
     b1_vs_vol = [(d.vol_proxy, d.b1_proxy) for d in series]
     cusp_vs_vol = [(d.vol_proxy, d.cusp_proxy) for d in series]
@@ -346,7 +347,8 @@ def _congruence_exponents(config: RunConfig) -> Rendered:
     lo = config.params["prime_min"]
     hi = config.params["prime_max"]
     tolerance = config.params.get("tolerance")
-    primes = counts.primes_in_range(lo, hi)
+    cap = config.cap if config.cap is not None else counts.DEFAULT_PRIME_CAP
+    primes = counts.primes_in_range(lo, hi, cap=cap)
     if len(primes) < 2:
         raise ValidationError(f"need at least 2 primes in [{lo}, {hi}], got {len(primes)}")
     records = _exponent_checks(n, genus, primes, tolerance)
@@ -371,10 +373,11 @@ def _congruence_dtower(config: RunConfig) -> Rendered:
     genus = config.params["genus"]
     lo = config.params["prime_min"]
     hi = config.params["prime_max"]
-    primes = counts.primes_in_range(lo, hi)
+    cap = config.cap if config.cap is not None else counts.DEFAULT_PRIME_CAP
+    primes = counts.primes_in_range(lo, hi, cap=cap)
     if not primes:
         raise ValidationError(f"no primes in [{lo}, {hi}]")
-    series = counts.d_tower_series(n, genus, primes)
+    series = counts.d_tower_series(n, genus, primes, sieved=True)
     doc = {
         "n": n,
         "genus": genus,
@@ -455,7 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format (default: table)")
     common.add_argument("--cap", type=int, default=None,
                         help="resource cap: raw candidates for dm enumerate and "
-                             "brute-force orders, search nodes for dm find-contraction")
+                             "brute-force orders, search nodes for dm find-contraction, "
+                             "the largest --prime-max for congruence exponents and dtower")
     common.add_argument("--out", default=None, help="write output to this file")
 
     parser = argparse.ArgumentParser(

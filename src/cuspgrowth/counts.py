@@ -17,7 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
+from math import gcd, isqrt
 from typing import Sequence
 
 from .errors import InexactDivisionError, ResourceLimitError, ValidationError
@@ -25,6 +26,17 @@ from .gf import PrimePowerField, field
 
 #: Refuse brute-force searches whose raw matrix space exceeds this.
 DEFAULT_BRUTE_CAP = 1 << 28
+
+#: Refuse prime ranges reaching past this.  The sieve holds one byte
+#: per integer of the range, but the cost that binds is downstream: the
+#: d-tower series factors each prime by trial division, about 9 s for
+#: all primes below 10^6, growing like the cap^1.5.
+DEFAULT_PRIME_CAP = 10**6
+
+#: Trial division gives up past this divisor, so it decides every
+#: integer below its square (about 10^12) and refuses larger cofactors
+#: with no smaller factor.
+MAX_TRIAL_DIVISOR = 1 << 20
 
 
 class GroupFamily(str, enum.Enum):
@@ -59,24 +71,40 @@ class GroupOrder:
             raise ValidationError("group orders are positive")
 
 
+def _least_divisor(n: int, start: int = 2) -> int:
+    """Least divisor d >= start of n > 1 (n itself when none is at most
+    sqrt(n)), by trial division over 2 and the odd integers; `start` is 2
+    or odd.  Raises past MAX_TRIAL_DIVISOR."""
+    d = start
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        if d > MAX_TRIAL_DIVISOR:
+            raise ResourceLimitError(
+                f"trial division of {n} passed the largest trial divisor "
+                f"{MAX_TRIAL_DIVISOR} without a factor",
+                space=isqrt(n), cap=MAX_TRIAL_DIVISOR,
+            )
+        d += 1 if d == 2 else 2
+    return n
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine at desk scale."""
+    """Prime factorization by bounded trial division; fine at desk scale."""
     if n < 1:
         raise ValidationError(f"cannot factor {n}")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while n > 1:
+        d = _least_divisor(n, d)
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
     return out
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and list(factorize(n)) == [n]
+    return n >= 2 and _least_divisor(n) == n
 
 
 def prime_power_base(q: int) -> tuple[int, int]:
@@ -90,8 +118,27 @@ def prime_power_base(q: int) -> tuple[int, int]:
     return p, e
 
 
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
+def primes_in_range(lo: int, hi: int, cap: int = DEFAULT_PRIME_CAP) -> list[int]:
+    """Primes in [lo, hi] by a sieve of Eratosthenes over that segment.
+
+    Refuses when hi exceeds `cap`.
+    """
+    if hi > cap:
+        raise ResourceLimitError(
+            f"prime range up to {hi} exceeds the cap {cap}", space=hi, cap=cap
+        )
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    root = isqrt(hi)
+    small = bytearray([1]) * (root + 1)
+    segment = bytearray([1]) * (hi - lo + 1)
+    for d in range(2, root + 1):
+        if small[d]:
+            small[d * d::d] = bytes(len(range(d * d, root + 1, d)))
+            start = max(d * d, -(-lo // d) * d)
+            segment[start - lo::d] = bytes(len(range(start, hi + 1, d)))
+    return list(compress(range(lo, hi + 1), segment))
 
 
 def _exact_ratio(num: int, den: int, context: str) -> int:
@@ -202,9 +249,27 @@ def _det(f: PrimePowerField, cols: list[tuple[int, ...]]) -> int:
     return expand(rows)
 
 
+def _last_column_cofactors(f: PrimePowerField, cols: list[tuple[int, ...]]) -> list[int]:
+    """Cofactors C_i of the last column of an m x m matrix whose first
+    m - 1 columns are `cols`: its determinant is sum_i C_i x_i for the
+    last column x."""
+    m = len(cols) + 1
+    out = []
+    for i in range(m):
+        minor = _det(f, [col[:i] + col[i + 1:] for col in cols])
+        out.append(minor if (i + m - 1) % 2 == 0 else f.neg(minor))
+    return out
+
+
 def _count_sl(f: PrimePowerField, m: int) -> int:
     """Count m x m matrices over the field with determinant 1, building up
-    columns and pruning on linear dependence."""
+    columns and pruning on linear dependence.
+
+    Once m - 1 independent columns are chosen the determinant is linear
+    in the last one, so each candidate last column is checked by a dot
+    product with the cofactors.
+    """
+    add, mul = f._add, f._mul
     vectors = list(product(range(f.size), repeat=m))
     count = 0
     chosen: list[tuple[int, ...]] = []
@@ -224,11 +289,21 @@ def _count_sl(f: PrimePowerField, m: int) -> int:
         inv = f.inv(lead)
         return tuple(f.mul(inv, x) for x in vec)
 
+    def count_last_columns() -> int:
+        rows = [mul[c] for c in _last_column_cofactors(f, chosen)]
+        hits = 0
+        for vec in vectors:
+            total = 0
+            for row, x in zip(rows, vec):
+                total = add[total][row[x]]
+            if total == 1:
+                hits += 1
+        return hits
+
     def recurse() -> None:
         nonlocal count
-        if len(chosen) == m:
-            if _det(f, chosen) == 1:
-                count += 1
+        if len(chosen) == m - 1:
+            count += count_last_columns()
             return
         for vec in vectors:
             reduced = reduce(vec)
@@ -256,30 +331,44 @@ def _count_unitary(
     Conjugation is the Frobenius x -> x^q on GF(q^2).  Columns are
     chosen one at a time; the partial-isometry constraints
     <c_i, c_j> = J_ij for all i <= j <= t prune the search early.
+    Candidate columns are bucketed by their norm <c, c>, so column t only
+    tries the bucket of norm J_tt.
     """
+    add, mul = f._add, f._mul
     conj = [f.pow(a, q) for a in range(f.size)]
 
-    def herm(u: Sequence[int], v: Sequence[int]) -> int:
+    def form_rows(u: Sequence[int]) -> list[list[int]]:
+        # <u, v> = sum_k conj(u_k) v_(m-1-k) = sum_j rows[j][v_j]
+        return [mul[conj[u[m - 1 - j]]] for j in range(m)]
+
+    def herm(rows: list[list[int]], v: Sequence[int]) -> int:
         total = 0
-        for k in range(m):
-            total = f.add(total, f.mul(conj[u[k]], v[m - 1 - k]))
+        for row, x in zip(rows, v):
+            total = add[total][row[x]]
         return total
 
     def target(i: int, j: int) -> int:
         return 1 if i + j == m - 1 else 0
 
-    if unitriangular:
-        def candidates(t: int) -> list[tuple[int, ...]]:
-            free = list(product(range(f.size), repeat=t))
-            return [head + (1,) + (0,) * (m - t - 1) for head in free]
-    else:
-        all_vectors = list(product(range(f.size), repeat=m))
+    def by_norm(vectors: list[tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]]:
+        buckets: dict[int, list[tuple[int, ...]]] = {}
+        for vec in vectors:
+            buckets.setdefault(herm(form_rows(vec), vec), []).append(vec)
+        return buckets
 
-        def candidates(t: int) -> list[tuple[int, ...]]:
-            return all_vectors
+    if unitriangular:
+        candidates = [
+            by_norm([head + (1,) + (0,) * (m - t - 1)
+                     for head in product(range(f.size), repeat=t)]).get(target(t, t), [])
+            for t in range(m)
+        ]
+    else:
+        buckets = by_norm(list(product(range(f.size), repeat=m)))
+        candidates = [buckets.get(target(t, t), []) for t in range(m)]
 
     count = 0
     chosen: list[tuple[int, ...]] = []
+    chosen_rows: list[list[list[int]]] = []
 
     def recurse(t: int) -> None:
         nonlocal count
@@ -287,18 +376,17 @@ def _count_unitary(
             if not det_one or _det(f, chosen) == 1:
                 count += 1
             return
-        for vec in candidates(t):
-            ok = True
-            for i in range(t):
-                if herm(chosen[i], vec) != target(i, t):
-                    ok = False
+        wanted = [target(i, t) for i in range(t)]
+        for vec in candidates[t]:
+            for rows, want in zip(chosen_rows, wanted):
+                if herm(rows, vec) != want:
                     break
-            if ok and herm(vec, vec) != target(t, t):
-                ok = False
-            if ok:
+            else:
                 chosen.append(vec)
+                chosen_rows.append(form_rows(vec))
                 recurse(t + 1)
                 chosen.pop()
+                chosen_rows.pop()
 
     recurse(0)
     return count
@@ -326,11 +414,12 @@ def brute_force_order(
                 f"raw search space {space} exceeds the cap {cap}", space=space, cap=cap
             )
         n = q
-        count = sum(
-            1
-            for a, b, c, d in product(range(n), repeat=4)
-            if (a * d - b * c) % n == 1
-        )
+        # For each (a, b, c), a*d = 1 + b*c (mod n) is linear in d: it has
+        # gcd(a, n) solutions when that gcd divides 1 + b*c, else none.
+        count = 0
+        for a in range(n):
+            g = gcd(a, n)
+            count += g * sum(1 for b in range(n) for c in range(n) if (1 + b * c) % g == 0)
         return GroupOrder(family, 2, n, count, Method.BRUTE_FORCE)
 
     if m < 2:
@@ -371,8 +460,11 @@ def cusp_index_proxy(n: int, q: int) -> int:
         raise ValidationError(f"only n = 2 and n = 3 are modeled, got {n}")
     if not is_prime(q):
         raise ValidationError(f"q must be prime, got {q}")
-    total = su_order(n + 1, q).order
-    return _exact_ratio(total, q ** (2 * n - 1), "cusp_index_proxy")
+    return _cusp_index(n, q, su_order(n + 1, q).order)
+
+
+def _cusp_index(n: int, q: int, su_total: int) -> int:
+    return _exact_ratio(su_total, q ** (2 * n - 1), "cusp_index_proxy")
 
 
 @dataclass(frozen=True)
@@ -389,13 +481,15 @@ class DTowerDatum:
             raise ValidationError("tower datum entries must all be positive")
 
 
-def d_tower_series(n: int, g: int, primes: Sequence[int]) -> list[DTowerDatum]:
+def d_tower_series(n: int, g: int, primes: Sequence[int], *,
+                   sieved: bool = False) -> list[DTowerDatum]:
     """Congruence-tower proxies over a list of distinct primes.
 
     vol is |SU(n+1, F_q)| (the covering degree up to a constant), b1 is
     2 + (2g - 2) * |PSL_2(F_q)| (the retraction-target curve cover), and
     cusps is vol / q^(2n-1) (one modeled cusp; constants do not affect
-    exponents).
+    exponents).  `sieved=True` skips the per-prime primality test for a
+    list that comes from `primes_in_range`.
     """
     if n not in (2, 3):
         raise ValidationError(f"only n = 2 and n = 3 are modeled, got {n}")
@@ -407,7 +501,7 @@ def d_tower_series(n: int, g: int, primes: Sequence[int]) -> list[DTowerDatum]:
         if q in seen:
             raise ValidationError(f"primes must be distinct, {q} repeats")
         seen.add(q)
-        if not is_prime(q):
+        if not sieved and not is_prime(q):
             raise ValidationError(f"{q} is not prime")
         vol = su_order(n + 1, q).order
         out.append(
@@ -415,7 +509,7 @@ def d_tower_series(n: int, g: int, primes: Sequence[int]) -> list[DTowerDatum]:
                 q=q,
                 vol_proxy=vol,
                 b1_proxy=2 + (2 * g - 2) * psl2_order(q),
-                cusp_proxy=cusp_index_proxy(n, q),
+                cusp_proxy=_cusp_index(n, q, vol),
             )
         )
     return out

@@ -4,7 +4,8 @@ Elements are encoded as integers 0 .. p^n - 1, the base-p digits being
 polynomial coefficients in little-endian order.  The modulus is the
 least irreducible monic polynomial of degree n under that encoding, so
 field construction is deterministic.  Only meant for tiny fields; the
-multiplication table is materialized up front.
+addition, negation, multiplication and inversion tables are
+materialized up front.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from functools import lru_cache
 
 from .errors import ValidationError
 
-_MAX_TABLE_ELEMENTS = 1 << 10  # mul table is quadratic in field size
+_MAX_TABLE_ELEMENTS = 1 << 10  # add and mul tables are quadratic in field size
+
+
+def _code_from_poly(coeffs: tuple[int, ...], p: int) -> int:
+    code = 0
+    for c in reversed(coeffs):
+        code = code * p + c
+    return code
 
 
 def _poly_from_code(code: int, p: int, degree: int) -> tuple[int, ...]:
@@ -78,7 +86,8 @@ def _poly_divides(divisor: tuple[int, ...], poly: tuple[int, ...], p: int) -> bo
 
 
 class PrimePowerField:
-    """GF(p^n) with precomputed multiplication and inversion tables."""
+    """GF(p^n) with precomputed addition, negation, multiplication and
+    inversion tables."""
 
     def __init__(self, p: int, n: int):
         if n < 1:
@@ -96,13 +105,15 @@ class PrimePowerField:
         self._mul = [[0] * size for _ in range(size)]
         modulus = self.modulus_coeffs + (1,)
         polys = [_poly_from_code(code, p, n) for code in range(size)]
+        self._add = [
+            [_code_from_poly(tuple((x + y) % p for x, y in zip(pa, pb)), p) for pb in polys]
+            for pa in polys
+        ]
+        self._neg = [_code_from_poly(tuple(-x % p for x in pa), p) for pa in polys]
         for a in range(size):
             for b in range(a, size):
                 prod = list(_poly_mul(polys[a], polys[b], p))
-                red = _poly_mod(prod, modulus, p)
-                code = 0
-                for c in reversed(red):
-                    code = code * p + c
+                code = _code_from_poly(_poly_mod(prod, modulus, p), p)
                 self._mul[a][b] = code
                 self._mul[b][a] = code
         self._inv = [0] * size
@@ -126,28 +137,13 @@ class PrimePowerField:
     # Elements are ints; 0 and 1 are the additive and multiplicative units.
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.n):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.n):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]

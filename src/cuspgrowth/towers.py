@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
+from .counts import is_prime
 from .errors import ValidationError
 from .lattice import (
     AbelianHom,
@@ -232,11 +233,6 @@ def analyze_tower(spec: TowerSpec) -> TowerReport:
     return TowerReport(tuple(analyze_level(spec.base, rho) for rho in spec.levels))
 
 
-def _require_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise ValidationError(f"{p} is not prime")
-
-
 def build_a_tower(p: int, depth: int) -> TowerSpec:
     """The tower sending v1 to a deck-group generator and v2, v3, v4 to 0,
     with deck groups Z/p^j for j = 1..depth.
@@ -244,7 +240,8 @@ def build_a_tower(p: int, depth: int) -> TowerSpec:
     The images are compatible with the reduction maps Z/p^(j+1) -> Z/p^j,
     so consecutive levels form a tower of covers.
     """
-    _require_prime(p)
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
     levels = tuple(
@@ -261,7 +258,8 @@ def build_b_tower(p: int, depth: int) -> TowerSpec:
     proper subgroup generated by 2, its cusp splits, and the constant
     cusp count 4 is lost.
     """
-    _require_prime(p)
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
     if p == 2:
         raise ValidationError(
             "the B tower requires an odd prime: for p = 2 the diagonal "

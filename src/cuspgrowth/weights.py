@@ -22,6 +22,7 @@ pure and safe to call concurrently.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -37,8 +38,18 @@ DEFAULT_ENUMERATION_CAP = 5_000_000
 DEFAULT_CONTRACTION_CAP = 5_000_000
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse an exact rational from a 'p/q' (or integer) string."""
+    """Parse an exact rational from a 'p/q' (or integer) string.
+
+    Only ``[+-]?digits`` and ``[+-]?digits/digits`` are accepted, so
+    decimal and exponent notation (which can ask for huge integers) never
+    reach `Fraction`.
+    """
+    if not _RATIONAL.fullmatch(text.strip()):
+        raise ValidationError(f"cannot parse exact rational from {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

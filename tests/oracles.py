@@ -3,16 +3,18 @@
 These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion, invariant factors by gcds of minors, subgroup
 orders by breadth-first closure, the integrality condition by a direct
-double loop, and contractions by listing every partition into the
-right number of blocks.  They are slow and only meant for small inputs.
+double loop, contractions by listing every partition into the right
+number of blocks, and group orders and primes by the plain searches
+below.  They are slow and only meant for small inputs.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 from cuspgrowth import ContractionPartition, FiniteAbelianGroup, IntMatrix, WeightTuple
+from cuspgrowth.gf import PrimePowerField
 
 
 def det_cofactor(rows):
@@ -155,3 +157,184 @@ def admissible_contractions(mu: WeightTuple, nu: WeightTuple):
             continue
         found.append(part.blocks)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Brute-force group orders and prime ranges as the library computed them
+# before its table-driven kernels: field addition digit by digit, the
+# N^4 loop over SL_2(Z/N), unitary columns tried against every vector,
+# SL columns checked by a cofactor determinant at every leaf, and primes
+# by trial division.  Only the multiplication table is shared with the
+# library.
+
+
+def digit_add(f, a, b):
+    p = f.p
+    out = 0
+    mult = 1
+    for _ in range(f.n):
+        out += ((a + b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def digit_neg(f, a):
+    p = f.p
+    out = 0
+    mult = 1
+    for _ in range(f.n):
+        out += ((-a) % p) * mult
+        a //= p
+        mult *= p
+    return out
+
+
+def digit_sub(f, a, b):
+    return digit_add(f, a, digit_neg(f, b))
+
+
+def field_det(f, cols):
+    """Determinant over the field by cofactor expansion; m is tiny."""
+    m = len(cols)
+    rows = [tuple(cols[j][i] for j in range(m)) for i in range(m)]
+
+    def expand(rs):
+        k = len(rs)
+        if k == 1:
+            return rs[0][0]
+        total = 0
+        for j in range(k):
+            c = rs[0][j]
+            if c == 0:
+                continue
+            minor = [tuple(row[:j] + row[j + 1:]) for row in rs[1:]]
+            term = f.mul(c, expand(minor))
+            total = digit_add(f, total, term) if j % 2 == 0 else digit_sub(f, total, term)
+        return total
+
+    return expand(rows)
+
+
+def sl2_zn_count(n):
+    return sum(
+        1
+        for a, b, c, d in product(range(n), repeat=4)
+        if (a * d - b * c) % n == 1
+    )
+
+
+def count_sl(f, m):
+    """Count m x m matrices over the field with determinant 1, building up
+    columns and pruning on linear dependence."""
+    vectors = list(product(range(f.size), repeat=m))
+    count = 0
+    chosen = []
+    echelon = []
+
+    def reduce(vec):
+        v = list(vec)
+        for row in echelon:
+            pivot = next(i for i, x in enumerate(row) if x != 0)
+            if v[pivot] != 0:
+                c = v[pivot]
+                v = [digit_sub(f, x, f.mul(c, y)) for x, y in zip(v, row)]
+        return tuple(v)
+
+    def normalize(vec):
+        lead = next(x for x in vec if x != 0)
+        inv = f.inv(lead)
+        return tuple(f.mul(inv, x) for x in vec)
+
+    def recurse():
+        nonlocal count
+        if len(chosen) == m:
+            if field_det(f, chosen) == 1:
+                count += 1
+            return
+        for vec in vectors:
+            reduced = reduce(vec)
+            if all(x == 0 for x in reduced):
+                continue
+            chosen.append(vec)
+            echelon.append(normalize(reduced))
+            recurse()
+            chosen.pop()
+            echelon.pop()
+
+    recurse()
+    return count
+
+
+def count_unitary(f, m, q, det_one, unitriangular):
+    """Count matrices preserving the antidiagonal hermitian form, trying
+    every candidate column against all constraints."""
+    conj = [f.pow(a, q) for a in range(f.size)]
+
+    def herm(u, v):
+        total = 0
+        for k in range(m):
+            total = digit_add(f, total, f.mul(conj[u[k]], v[m - 1 - k]))
+        return total
+
+    def target(i, j):
+        return 1 if i + j == m - 1 else 0
+
+    if unitriangular:
+        def candidates(t):
+            free = list(product(range(f.size), repeat=t))
+            return [head + (1,) + (0,) * (m - t - 1) for head in free]
+    else:
+        all_vectors = list(product(range(f.size), repeat=m))
+
+        def candidates(t):
+            return all_vectors
+
+    count = 0
+    chosen = []
+
+    def recurse(t):
+        nonlocal count
+        if t == m:
+            if not det_one or field_det(f, chosen) == 1:
+                count += 1
+            return
+        for vec in candidates(t):
+            ok = True
+            for i in range(t):
+                if herm(chosen[i], vec) != target(i, t):
+                    ok = False
+                    break
+            if ok and herm(vec, vec) != target(t, t):
+                ok = False
+            if ok:
+                chosen.append(vec)
+                recurse(t + 1)
+                chosen.pop()
+
+    recurse(0)
+    return count
+
+
+def is_prime_trial(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def primes_trial_division(lo, hi):
+    return [n for n in range(max(lo, 2), hi + 1) if is_prime_trial(n)]
+
+
+def group_order(family, m, q):
+    """Order of a brute-force family by the kernels above."""
+    if family == "SL2_ZN":
+        return sl2_zn_count(q)
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = 1
+    while p**e < q:
+        e += 1
+    assert p**e == q
+    if family == "SL":
+        return count_sl(PrimePowerField(p, e), m)
+    return count_unitary(PrimePowerField(p, 2 * e), m, q,
+                         det_one=family == "SU", unitriangular=family == "UNITRIANGULAR_U")

@@ -24,6 +24,17 @@ def validation_message(code, err):
     return record["error"]["message"]
 
 
+def resource_record(code, out, err):
+    """The single JSON error record of an exit-3 run."""
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"]["type"] == "resource"
+    return record["error"]
+
+
 class TestDmCommands:
     def test_check_int_tuple(self, capsys):
         code, out, err = run_cli(
@@ -112,6 +123,12 @@ class TestDmCommands:
         assert code == 0
         assert out.splitlines()[0] == "weights,verdict"
 
+    @pytest.mark.parametrize("weight", ["1e-10000", "1e-1000000000", "0.5", "1/2/3", "½"])
+    def test_only_integers_and_ratios_parse(self, capsys, weight):
+        code, out, err = run_cli(capsys, "dm", "check", "--tuple", f"{weight},1/2,1/2,1/2")
+        assert out == ""
+        assert validation_message(code, err) == f"cannot parse exact rational from {weight!r}"
+
     def test_csv_unsupported_for_check(self, capsys):
         code, _, err = run_cli(
             capsys, "dm", "check", "--tuple", "2/6,2/6,3/6,4/6,1/6",
@@ -131,6 +148,13 @@ class TestTowerCommands:
         total_col = lines[0].split().index("total_cusps")
         values = [int(line.split()[total_col]) for line in lines[2:]]
         assert values == [6, 12, 30, 84]
+
+    def test_huge_prime_argument_exits_2(self, capsys):
+        big = str(10**400 + 1)  # divisible by 17
+        code, out, err = run_cli(capsys, "tower", "run", "--family", "A", "--prime", big,
+                                 "--depth", "1")
+        assert out == ""
+        assert validation_message(code, err) == f"{big} is not prime"
 
     def test_b_tower_even_prime_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -258,6 +282,33 @@ class TestCongruenceCommands:
             "--method", "brute",
         )
         assert code == 3
+
+    def test_orders_unfactorable_q_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "congruence", "orders", "--family", "SL", "--m", "2",
+            "--q", str(2**61 - 1),
+        )
+        assert resource_record(code, out, err)["cap"] == 1 << 20
+
+    @pytest.mark.parametrize("sub", ["exponents", "dtower"])
+    def test_prime_max_above_default_cap_exits_3(self, capsys, sub):
+        code, out, err = run_cli(
+            capsys, "congruence", sub, "--n", "2",
+            "--prime-min", "5", "--prime-max", "1000001",
+        )
+        record = resource_record(code, out, err)
+        assert (record["space"], record["cap"]) == (1_000_001, 1_000_000)
+
+    @pytest.mark.parametrize("sub", ["exponents", "dtower"])
+    def test_cap_overrides_prime_max_guard(self, capsys, sub):
+        argv = ["congruence", sub, "--n", "2", "--prime-min", "1000000",
+                "--prime-max", "1000100", "--format", "json"]
+        code, out, err = run_cli(capsys, *argv, "--cap", "1000100")
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)
+        code, out, err = run_cli(capsys, *argv, "--cap", "1000099")
+        assert resource_record(code, out, err)["cap"] == 1_000_099
 
     def test_exponents_n2(self, capsys):
         code, out, _ = run_cli(

@@ -1,7 +1,15 @@
+import importlib.util
+import itertools
 import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from cuspgrowth import (
     DTowerDatum,
     GroupFamily,
@@ -20,7 +28,31 @@ from cuspgrowth import (
     u_order,
     unitriangular_u_order,
 )
-from cuspgrowth.gf import field
+from cuspgrowth.counts import MAX_TRIAL_DIVISOR, _last_column_cofactors, factorize, is_prime
+from cuspgrowth.gf import PrimePowerField, field
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _bench_workloads()
+#: The light, middle and band brute-force configurations of the
+#: congruence-oracle benchmark, in first-seen order.
+BENCH_ORDERS = list(dict.fromkeys(
+    _WORKLOADS.ORDERS_LIGHT + _WORKLOADS.ORDERS_MIDDLE + _WORKLOADS.ORDERS_BAND
+))
+
+#: Every (p, n) with p^n <= 256.
+SMALL_FIELDS = [
+    (p, n) for p in range(2, 257) if oracles.is_prime_trial(p)
+    for n in range(1, 9) if p**n <= 256
+]
 
 
 class TestFiniteField:
@@ -199,3 +231,75 @@ class TestDTower:
         b1_3 = fit_exponent([(d.vol_proxy, d.b1_proxy) for d in series3])
         assert abs(vol.slope - 15.0) <= 0.1
         assert abs(b1_3.slope - 0.2) <= 0.02
+
+
+class TestKernelsAgainstOracles:
+    """The table-driven kernels against the plain searches in `oracles`."""
+
+    @pytest.mark.parametrize("p,n", SMALL_FIELDS)
+    def test_add_and_neg_tables_match_digit_arithmetic(self, p, n):
+        f = PrimePowerField(p, n)
+        for a in range(f.size):
+            assert f._neg[a] == oracles.digit_neg(f, a)
+            assert f._add[a] == [oracles.digit_add(f, a, b) for b in range(f.size)]
+        assert all(f.sub(a, 1) == oracles.digit_sub(f, a, 1) for a in range(f.size))
+
+    @pytest.mark.parametrize("family,m,q", BENCH_ORDERS)
+    def test_benchmark_configurations(self, family, m, q):
+        assert brute_force_order(family, m, q).order == oracles.group_order(family, m, q)
+
+    def test_sl2_zn_up_to_40(self):
+        for n in range(2, 41):
+            assert brute_force_order(GroupFamily.SL2_ZN, 2, n).order == oracles.sl2_zn_count(n)
+
+    @pytest.mark.parametrize("p,n,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2),
+                                       (3, 1, 3), (2, 2, 3), (3, 1, 4)])
+    def test_cofactors_give_the_determinant(self, p, n, m):
+        f = field(p, n)
+        rng = random.Random(f"{p}:{n}:{m}")
+        for _ in range(20):
+            cols = [tuple(rng.randrange(f.size) for _ in range(m)) for _ in range(m - 1)]
+            cofactors = _last_column_cofactors(f, cols)
+            for x in itertools.product(range(f.size), repeat=m):
+                dot = 0
+                for c, xi in zip(cofactors, x):
+                    dot = oracles.digit_add(f, dot, f.mul(c, xi))
+                assert dot == oracles.field_det(f, cols + [x])
+
+    def test_sl_3_3(self):
+        assert brute_force_order(GroupFamily.SL, 3, 3).order == oracles.group_order("SL", 3, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-20, 3000), st.integers(-20, 3000))
+    def test_primes_in_range_matches_trial_division(self, lo, hi):
+        assert primes_in_range(lo, hi) == oracles.primes_trial_division(lo, hi)
+
+    def test_primes_in_range_edges(self):
+        assert primes_in_range(10, 3) == []
+        assert primes_in_range(-5, 1) == []
+        assert primes_in_range(2, 2) == [2]
+        assert primes_in_range(-5, 3) == [2, 3]
+        assert primes_in_range(24, 29) == [29]
+
+
+class TestPrimality:
+    def test_factorize_and_is_prime(self):
+        assert factorize(1) == {}
+        assert factorize(360) == {2: 3, 3: 2, 5: 1}
+        assert factorize(2 * 1_000_003) == {2: 1, 1_000_003: 1}
+        assert [n for n in range(-3, 30) if is_prime(n)] == oracles.primes_trial_division(-3, 29)
+        assert not is_prime(10**400 + 1)  # divisible by 17
+
+    def test_trial_division_is_bounded(self):
+        big = 2**61 - 1  # prime, with no divisor below the trial bound
+        with pytest.raises(ResourceLimitError) as err:
+            factorize(big)
+        assert err.value.cap == MAX_TRIAL_DIVISOR
+        with pytest.raises(ResourceLimitError):
+            is_prime(big)
+
+    def test_prime_range_cap(self):
+        with pytest.raises(ResourceLimitError) as err:
+            primes_in_range(5, 101, cap=100)
+        assert (err.value.space, err.value.cap) == (101, 100)
+        assert primes_in_range(90, 100, cap=100) == [97]
