@@ -287,10 +287,10 @@ def _congruence_orders(config: RunConfig) -> Rendered:
 
 def _exponent_checks(n: int, genus: int, primes: list[int],
                      tolerance: Optional[float]) -> list[dict]:
-    series = counts.d_tower_series(n, genus, primes, sieved=True)
+    rows = counts.d_tower_rows(n, genus, primes)
+    series = [d for d, _ in rows]
     vol_vs_q = [(d.q, d.vol_proxy) for d in series]
-    # b1 = 2 + (2g - 2) |PSL_2(F_q)|, so the PSL_2 order is read back exactly.
-    psl2_vs_q = [(d.q, (d.b1_proxy - 2) // (2 * genus - 2)) for d in series]
+    psl2_vs_q = [(d.q, psl2) for d, psl2 in rows]
     cusp_vs_q = [(d.q, d.cusp_proxy) for d in series]
     b1_vs_vol = [(d.vol_proxy, d.b1_proxy) for d in series]
     cusp_vs_vol = [(d.vol_proxy, d.cusp_proxy) for d in series]
@@ -377,7 +377,7 @@ def _congruence_dtower(config: RunConfig) -> Rendered:
     primes = counts.primes_in_range(lo, hi, cap=cap)
     if not primes:
         raise ValidationError(f"no primes in [{lo}, {hi}]")
-    series = counts.d_tower_series(n, genus, primes, sieved=True)
+    series = counts.d_tower_series(n, genus, primes)
     doc = {
         "n": n,
         "genus": genus,

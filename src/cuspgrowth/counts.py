@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InexactDivisionError, ResourceLimitError, ValidationError
 from .gf import PrimePowerField, field
@@ -154,26 +154,38 @@ def sl2_order(n: int) -> GroupOrder:
     """|SL_2(Z/N)| = N^3 * prod_(p | N) (1 - p^-2), exactly."""
     if n < 2:
         raise ValidationError(f"modulus must be >= 2, got {n}")
+    return GroupOrder(GroupFamily.SL2_ZN, 2, n, _sl2_count(n, factorize(n)),
+                      Method.FORMULA)
+
+
+def _sl2_count(n: int, prime_divisors: Iterable[int]) -> int:
     num = n**3
     den = 1
-    for p in factorize(n):
+    for p in prime_divisors:
         num *= p * p - 1
         den *= p * p
-    return GroupOrder(GroupFamily.SL2_ZN, 2, n, _exact_ratio(num, den, "sl2_order"),
-                      Method.FORMULA)
+    return _exact_ratio(num, den, "sl2_order")
 
 
 def psl2_order(n: int) -> int:
     """|PSL_2(Z/N)|: the SL_2 order divided by |{+-1} mod N|."""
+    return _psl2_count(n, sl2_order(n).order)
+
+
+def _psl2_count(n: int, sl2: int) -> int:
     center = 2 if n > 2 else 1
-    return _exact_ratio(sl2_order(n).order, center, "psl2_order")
+    return _exact_ratio(sl2, center, "psl2_order")
+
+
+def _check_matrix_field(m: int, q: int) -> None:
+    if m < 2:
+        raise ValidationError(f"matrix size must be >= 2, got {m}")
+    prime_power_base(q)
 
 
 def sl_order(m: int, q: int) -> GroupOrder:
     """|SL_m(F_q)| = q^(m(m-1)/2) * prod_(i=2..m) (q^i - 1)."""
-    if m < 2:
-        raise ValidationError(f"matrix size must be >= 2, got {m}")
-    prime_power_base(q)
+    _check_matrix_field(m, q)
     order = q ** (m * (m - 1) // 2)
     for i in range(2, m + 1):
         order *= q**i - 1
@@ -182,26 +194,30 @@ def sl_order(m: int, q: int) -> GroupOrder:
 
 def u_order(m: int, q: int) -> GroupOrder:
     """|U_m(F_q)| = q^(m(m-1)/2) * prod_(i=1..m) (q^i - (-1)^i)."""
-    if m < 2:
-        raise ValidationError(f"matrix size must be >= 2, got {m}")
-    prime_power_base(q)
+    _check_matrix_field(m, q)
+    return GroupOrder(GroupFamily.U, m, q, _u_count(m, q), Method.FORMULA)
+
+
+def _u_count(m: int, q: int) -> int:
     order = q ** (m * (m - 1) // 2)
     for i in range(1, m + 1):
         order *= q**i - (-1) ** i
-    return GroupOrder(GroupFamily.U, m, q, order, Method.FORMULA)
+    return order
 
 
 def su_order(m: int, q: int) -> GroupOrder:
     """|SU_m(F_q)| = |U_m(F_q)| / (q + 1)."""
-    order = _exact_ratio(u_order(m, q).order, q + 1, "su_order")
-    return GroupOrder(GroupFamily.SU, m, q, order, Method.FORMULA)
+    _check_matrix_field(m, q)
+    return GroupOrder(GroupFamily.SU, m, q, _su_count(m, q), Method.FORMULA)
+
+
+def _su_count(m: int, q: int) -> int:
+    return _exact_ratio(_u_count(m, q), q + 1, "su_order")
 
 
 def unitriangular_u_order(m: int, q: int) -> GroupOrder:
     """Order q^(m(m-1)/2) of the upper unitriangular subgroup of U_m(F_q)."""
-    if m < 2:
-        raise ValidationError(f"matrix size must be >= 2, got {m}")
-    prime_power_base(q)
+    _check_matrix_field(m, q)
     return GroupOrder(
         GroupFamily.UNITRIANGULAR_U, m, q, q ** (m * (m - 1) // 2), Method.FORMULA
     )
@@ -460,7 +476,7 @@ def cusp_index_proxy(n: int, q: int) -> int:
         raise ValidationError(f"only n = 2 and n = 3 are modeled, got {n}")
     if not is_prime(q):
         raise ValidationError(f"q must be prime, got {q}")
-    return _cusp_index(n, q, su_order(n + 1, q).order)
+    return _cusp_index(n, q, _su_count(n + 1, q))
 
 
 def _cusp_index(n: int, q: int, su_total: int) -> int:
@@ -481,15 +497,23 @@ class DTowerDatum:
             raise ValidationError("tower datum entries must all be positive")
 
 
-def d_tower_series(n: int, g: int, primes: Sequence[int], *,
-                   sieved: bool = False) -> list[DTowerDatum]:
+def d_tower_series(n: int, g: int, primes: Sequence[int]) -> list[DTowerDatum]:
     """Congruence-tower proxies over a list of distinct primes.
 
     vol is |SU(n+1, F_q)| (the covering degree up to a constant), b1 is
     2 + (2g - 2) * |PSL_2(F_q)| (the retraction-target curve cover), and
     cusps is vol / q^(2n-1) (one modeled cusp; constants do not affect
-    exponents).  `sieved=True` skips the per-prime primality test for a
-    list that comes from `primes_in_range`.
+    exponents).
+    """
+    return [datum for datum, _ in d_tower_rows(n, g, primes)]
+
+
+def d_tower_rows(n: int, g: int,
+                 primes: Sequence[int]) -> list[tuple[DTowerDatum, int]]:
+    """`d_tower_series` with each datum paired with its |PSL_2(F_q)|.
+
+    Each q is tested for primality once, and the orders are then taken
+    from the closed forms for a prime q without factoring it again.
     """
     if n not in (2, 3):
         raise ValidationError(f"only n = 2 and n = 3 are modeled, got {n}")
@@ -501,15 +525,15 @@ def d_tower_series(n: int, g: int, primes: Sequence[int], *,
         if q in seen:
             raise ValidationError(f"primes must be distinct, {q} repeats")
         seen.add(q)
-        if not sieved and not is_prime(q):
+        if not is_prime(q):
             raise ValidationError(f"{q} is not prime")
-        vol = su_order(n + 1, q).order
-        out.append(
-            DTowerDatum(
-                q=q,
-                vol_proxy=vol,
-                b1_proxy=2 + (2 * g - 2) * psl2_order(q),
-                cusp_proxy=_cusp_index(n, q, vol),
-            )
+        vol = _su_count(n + 1, q)
+        psl2 = _psl2_count(q, _sl2_count(q, (q,)))
+        datum = DTowerDatum(
+            q=q,
+            vol_proxy=vol,
+            b1_proxy=2 + (2 * g - 2) * psl2,
+            cusp_proxy=_cusp_index(n, q, vol),
         )
+        out.append((datum, psl2))
     return out

@@ -18,6 +18,7 @@ from cuspgrowth import (
     ValidationError,
     brute_force_order,
     cusp_index_proxy,
+    d_tower_rows,
     d_tower_series,
     fit_exponent,
     primes_in_range,
@@ -208,6 +209,19 @@ class TestDTower:
             cusp_proxy=cusp_index_proxy(2, 5),
         )
         assert series[1].q == 7
+
+    def test_rows_pair_each_datum_with_its_psl2_order(self):
+        primes = [2, 3, 5, 7, 11, 101]
+        for n in (2, 3):
+            rows = d_tower_rows(n, 3, primes)
+            assert [d for d, _ in rows] == d_tower_series(n, 3, primes)
+            for d, psl2 in rows:
+                assert psl2 == psl2_order(d.q)
+                assert d.b1_proxy == 2 + 4 * psl2
+                assert d.vol_proxy == su_order(n + 1, d.q).order
+                assert d.cusp_proxy == cusp_index_proxy(n, d.q)
+        with pytest.raises(ValidationError, match="not prime"):
+            d_tower_rows(2, 2, [5, 9])
 
     def test_distinct_primes_required(self):
         with pytest.raises(ValidationError, match="distinct"):
