@@ -21,14 +21,15 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Union
 
 from . import counts, weights
 from .counts import GroupFamily
 from .errors import ResourceLimitError, ValidationError
-from .fitting import fit_exponent, match_verdict
+from .fitting import exponent_checks
 from .serialize import (
     UNBOUNDED,
     c_tower_report_to_json,
@@ -40,11 +41,16 @@ from .serialize import (
     weights_to_json,
 )
 from .towers import (
+    DEFAULT_C_DEPTH_CAP,
+    DEFAULT_DECK_BITS_CAP,
     TowerReport,
     analyze_tower,
     build_a_tower,
     build_b_tower,
     c_tower_report,
+    check_c_size,
+    check_family_size,
+    check_spec_size,
 )
 from .weights import ContractionPartition, WeightTuple
 
@@ -112,9 +118,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (json_doc, table_text_or_None, csv_text_or_None)
+# Handlers: each returns the JSON document and a text view, which is
+# either (headers, rows), rendered as a table or as CSV, or a fixed text
+# that has no CSV form.
 
-Rendered = tuple[dict, Optional[str], Optional[str]]
+Table = tuple[list[str], list[list[Any]]]
+Rendered = tuple[dict, Union[str, Table]]
 
 
 def _dm_check(config: RunConfig) -> Rendered:
@@ -126,7 +135,7 @@ def _dm_check(config: RunConfig) -> Rendered:
         lines.append(f"half-integral pair ({w.i},{w.j}): value {w.value}")
     for w in status.fail_witnesses:
         lines.append(f"failing pair ({w.i},{w.j}): value {w.value}")
-    return doc, "\n".join(lines) + "\n", None
+    return doc, "\n".join(lines) + "\n"
 
 
 def _dm_contract(config: RunConfig) -> Rendered:
@@ -144,7 +153,7 @@ def _dm_contract(config: RunConfig) -> Rendered:
         f"blocks: {' | '.join(','.join(map(str, b)) for b in partition.blocks)}\n"
         f"result: {', '.join(result.as_strings())}\n"
     )
-    return doc, text, None
+    return doc, text
 
 
 def _dm_find_contraction(config: RunConfig) -> Rendered:
@@ -154,7 +163,7 @@ def _dm_find_contraction(config: RunConfig) -> Rendered:
     partition = weights.find_contraction(mu, nu, cap=cap)
     if partition is None:
         doc = {"found": False, "source": weights_to_json(mu), "target": weights_to_json(nu)}
-        return doc, "no admissible contraction\n", None
+        return doc, "no admissible contraction\n"
     doc = {
         "found": True,
         "source": weights_to_json(mu),
@@ -163,7 +172,7 @@ def _dm_find_contraction(config: RunConfig) -> Rendered:
         "block_sums": [str(s) for s in partition.block_sums(mu)],
     }
     text = "blocks: " + " | ".join(",".join(map(str, b)) for b in partition.blocks) + "\n"
-    return doc, text, None
+    return doc, text
 
 
 def _dm_enumerate(config: RunConfig) -> Rendered:
@@ -180,12 +189,11 @@ def _dm_enumerate(config: RunConfig) -> Rendered:
             for mu, status in found
         ],
     }
-    headers = ["weights", "verdict"]
     rows = [[" ".join(mu.as_strings()), status.verdict.value] for mu, status in found]
-    return doc, _render_table(headers, rows), _render_csv(headers, rows)
+    return doc, (["weights", "verdict"], rows)
 
 
-def _tower_tables(report: TowerReport) -> tuple[str, str]:
+def _tower_table(report: TowerReport) -> Table:
     cusp_names = sorted(report.levels[0].cusp_multiplicities) if report.levels else []
     headers = (
         ["level", "degree", "connected"]
@@ -203,7 +211,7 @@ def _tower_tables(report: TowerReport) -> tuple[str, str]:
                 lv.factoring_fibration or "-",
             ]
         )
-    return _render_table(headers, rows), _render_csv(headers, rows)
+    return headers, rows
 
 
 def _tower_run(config: RunConfig) -> Rendered:
@@ -214,27 +222,29 @@ def _tower_run(config: RunConfig) -> Rendered:
         divisors = config.params.get("divisors")
         if genus is None or divisors is None:
             raise ValidationError("family C needs --genus and --divisors")
+        check_c_size(depth, config.cap if config.cap is not None else DEFAULT_C_DEPTH_CAP)
         levels = c_tower_report(genus, _parse_int_list(divisors, "divisors"), depth)
-        doc = c_tower_report_to_json(levels)
-        headers = ["level", "degree", "b1_surface", "total_cusps"]
         rows = [[lv.level, lv.degree, lv.b1_surface, lv.total_cusps] for lv in levels]
-        return doc, _render_table(headers, rows), _render_csv(headers, rows)
+        return (c_tower_report_to_json(levels),
+                (["level", "degree", "b1_surface", "total_cusps"], rows))
     prime = config.params.get("prime")
     if prime is None:
         raise ValidationError(f"family {family} needs --prime")
     if family == "A":
-        spec = build_a_tower(prime, depth)
+        build = build_a_tower
     elif family == "B":
-        spec = build_b_tower(prime, depth)
+        build = build_b_tower
     else:
         raise ValidationError(f"unknown family {family!r}; expected A, B, or C")
+    check_family_size(prime, depth,
+                      config.cap if config.cap is not None else DEFAULT_DECK_BITS_CAP)
+    spec = build(prime, depth)
     emit_spec = config.params.get("emit_spec")
     if emit_spec:
-        _write(emit_spec, dumps_canonical(tower_spec_to_json(spec)))
+        with _any_int_digits():
+            _write(emit_spec, dumps_canonical(tower_spec_to_json(spec)))
     report = analyze_tower(spec)
-    doc = tower_report_to_json(report)
-    table, csv_text = _tower_tables(report)
-    return doc, table, csv_text
+    return tower_report_to_json(report), _tower_table(report)
 
 
 def _tower_analyze(config: RunConfig) -> Rendered:
@@ -247,13 +257,12 @@ def _tower_analyze(config: RunConfig) -> Rendered:
                 data = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read tower spec {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, undecodable bytes, overlong ints
         raise ValidationError(f"malformed tower spec JSON in {path!r}: {exc}") from exc
     spec = tower_spec_from_json(data)
+    check_spec_size(spec, config.cap if config.cap is not None else DEFAULT_DECK_BITS_CAP)
     report = analyze_tower(spec)
-    doc = tower_report_to_json(report)
-    table, csv_text = _tower_tables(report)
-    return doc, table, csv_text
+    return tower_report_to_json(report), _tower_table(report)
 
 
 def _congruence_orders(config: RunConfig) -> Rendered:
@@ -280,65 +289,8 @@ def _congruence_orders(config: RunConfig) -> Rendered:
     }
     if len(results) == 2:
         doc["agree"] = results[0].order == results[1].order
-    headers = ["family", "m", "q", "method", "order"]
     rows = [[family.value, m, q, r.method.value, r.order] for r in results]
-    return doc, _render_table(headers, rows), _render_csv(headers, rows)
-
-
-def _exponent_checks(n: int, genus: int, primes: list[int],
-                     tolerance: Optional[float]) -> list[dict]:
-    rows = counts.d_tower_rows(n, genus, primes)
-    series = [d for d, _ in rows]
-    vol_vs_q = [(d.q, d.vol_proxy) for d in series]
-    psl2_vs_q = [(d.q, psl2) for d, psl2 in rows]
-    cusp_vs_q = [(d.q, d.cusp_proxy) for d in series]
-    b1_vs_vol = [(d.vol_proxy, d.b1_proxy) for d in series]
-    cusp_vs_vol = [(d.vol_proxy, d.cusp_proxy) for d in series]
-
-    m = n + 1
-    vol_exponent = m * m - 1
-    # The modeled parabolic image has order q^(2n-1), so the cusp index
-    # grows like q^(vol_exponent - (2n - 1)): q^5 for n = 2, q^10 for n = 3.
-    cusp_exponent = vol_exponent - (2 * n - 1)
-    checks: list[tuple[str, list, float, float]] = [
-        (f"su{m}_order_vs_q", vol_vs_q, float(vol_exponent), 0.05 if n == 2 else 0.1),
-        ("psl2_order_vs_q", psl2_vs_q, 3.0, 0.05),
-        ("cusp_index_vs_q", cusp_vs_q, float(cusp_exponent), 0.05),
-        ("b1_vs_vol", b1_vs_vol, 3.0 / vol_exponent, 0.02),
-        ("cusps_vs_vol", cusp_vs_vol, cusp_exponent / vol_exponent, 0.02),
-    ]
-    out = []
-    for name, pairs, target, tol in checks:
-        if tolerance is not None:
-            tol = tolerance
-        fit = fit_exponent(pairs)
-        record = {
-            "name": name,
-            "slope": fit.slope,
-            "points": fit.points_used,
-            "target": target,
-            "tolerance": tol,
-            "verdict": match_verdict(fit.slope, target, tol),
-        }
-        if name == "cusps_vs_vol" and n == 3:
-            # The parabolic-image model grows like vol^(2/3) here; the
-            # frequently stated rate for n = 3 is vol^(2/5).  The two do
-            # not agree, and the divergence is reported, never silently
-            # reconciled in either direction.
-            stated = 2.0 / 5.0
-            stated_verdict = match_verdict(fit.slope, stated, tol)
-            record["stated_rate"] = stated
-            record["stated_rate_verdict"] = (
-                "MATCHES_STATED_RATE" if stated_verdict == "MATCH"
-                else "DIVERGES_FROM_STATED_RATE"
-            )
-            record["note"] = (
-                "the parabolic-image model computes cusp growth ~ vol^(2/3) "
-                "for n = 3, which diverges from the stated vol^(2/5) rate; "
-                "the computed exponent is reported and the difference flagged"
-            )
-        out.append(record)
-    return out
+    return doc, (["family", "m", "q", "method", "order"], rows)
 
 
 def _congruence_exponents(config: RunConfig) -> Rendered:
@@ -351,21 +303,20 @@ def _congruence_exponents(config: RunConfig) -> Rendered:
     primes = counts.primes_in_range(lo, hi, cap=cap)
     if len(primes) < 2:
         raise ValidationError(f"need at least 2 primes in [{lo}, {hi}], got {len(primes)}")
-    records = _exponent_checks(n, genus, primes, tolerance)
+    records = exponent_checks(n, genus, primes, tolerance)
     doc = {
         "n": n,
         "genus": genus,
         "primes": {"min": lo, "max": hi, "count": len(primes)},
         "checks": records,
     }
-    headers = ["name", "slope", "target", "tolerance", "verdict"]
     rows = [
         [r["name"], f"{r['slope']:.4f}", f"{r['target']:.4f}", r["tolerance"],
          r["verdict"] + ("" if "stated_rate_verdict" not in r
                           else f" ({r['stated_rate_verdict']} vs {r['stated_rate']})")]
         for r in records
     ]
-    return doc, _render_table(headers, rows), _render_csv(headers, rows)
+    return doc, (["name", "slope", "target", "tolerance", "verdict"], rows)
 
 
 def _congruence_dtower(config: RunConfig) -> Rendered:
@@ -386,9 +337,8 @@ def _congruence_dtower(config: RunConfig) -> Rendered:
             for d in series
         ],
     }
-    headers = ["q", "vol", "b1", "cusps"]
     rows = [[d.q, d.vol_proxy, d.b1_proxy, d.cusp_proxy] for d in series]
-    return doc, _render_table(headers, rows), _render_csv(headers, rows)
+    return doc, (["q", "vol", "b1", "cusps"], rows)
 
 
 _HANDLERS: dict[tuple[str, ...], Callable[[RunConfig], Rendered]] = {
@@ -404,18 +354,41 @@ _HANDLERS: dict[tuple[str, ...], Callable[[RunConfig], Rendered]] = {
 }
 
 
-def _emit(config: RunConfig, rendered: Rendered) -> None:
-    doc, table, csv_text = rendered
+def _render(config: RunConfig, rendered: Rendered) -> str:
+    doc, view = rendered
     if config.fmt == "json":
-        text = dumps_canonical(doc)
-    elif config.fmt == "table":
-        text = table if table is not None else dumps_canonical(doc)
-    else:
-        if csv_text is None:
+        return dumps_canonical(doc)
+    if isinstance(view, str):
+        if config.fmt == "csv":
             raise ValidationError(
                 f"csv output is not defined for `{' '.join(config.command)}`"
             )
-        text = csv_text
+        return view
+    return (_render_table if config.fmt == "table" else _render_csv)(*view)
+
+
+@contextmanager
+def _any_int_digits():
+    """Lift the interpreter's limit on int-to-decimal conversion (4300
+    digits by default; absent before Python 3.10.7) for the block.
+
+    Only output is rendered inside it, so a result that was computed is
+    also printed, while input parsing keeps the limit as its guard
+    against slow conversions of huge decimal strings.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _emit(config: RunConfig, rendered: Rendered) -> None:
+    with _any_int_digits():
+        text = _render(config, rendered)
     if config.out:
         _write(config.out, text)
     else:
@@ -459,7 +432,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap", type=int, default=None,
                         help="resource cap: raw candidates for dm enumerate and "
                              "brute-force orders, search nodes for dm find-contraction, "
-                             "the largest --prime-max for congruence exponents and dtower")
+                             "the largest --prime-max for congruence exponents and "
+                             "dtower, the bits of the largest deck-group order for tower "
+                             "run A/B and tower analyze, the largest --depth for tower "
+                             "run C")
     common.add_argument("--out", default=None, help="write output to this file")
 
     parser = argparse.ArgumentParser(

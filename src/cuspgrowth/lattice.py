@@ -16,7 +16,9 @@ callers need a diagonal or an order, run it on the bare rows of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from functools import cached_property
+from math import gcd, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
@@ -27,6 +29,7 @@ class IntMatrix:
     """An immutable integer matrix, row-major.
 
     `cols` is stored explicitly so zero-row matrices keep their width.
+    The columns are transposed once, on first use.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -97,13 +100,17 @@ class IntMatrix:
         i, j = ij
         return self.entries[i][j]
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.entries)) if self.entries else ((),) * self.cols
+
     def columns(self) -> list[tuple[int, ...]]:
-        return [tuple(row[j] for row in self.entries) for j in range(self.cols)]
+        return list(self._columns)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValidationError(f"cannot multiply {self.shape} by {other.shape}")
-        return IntMatrix.from_rows(_product_rows(self.entries, other), other.cols)
+        return IntMatrix.from_rows(_product_rows(self.entries, other._columns), other.cols)
 
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination."""
@@ -230,19 +237,35 @@ def _cokernel_diagonal(factors: Sequence[int], gen_rows: Iterable[Sequence[int]]
     """Smith diagonal of [diag(factors) | gen_rows]: the invariant
     factors of the quotient of (+) Z/d_i by the generators, units kept.
 
-    `gen_rows` has one row per factor; each column is a generator.
+    `gen_rows` has one row per factor; each column is a generator.  A
+    single factor (a cyclic group Z/d) needs no elimination: its
+    quotient is Z/gcd(d, generators).
     """
     s = len(factors)
+    if s == 1:
+        (row,) = gen_rows
+        return [gcd(factors[0], *row)]
     m = [[d if j == i else 0 for j in range(s)] + list(row)
          for i, (d, row) in enumerate(zip(factors, gen_rows))]
     _smith_eliminate(m, s, len(m[0]) if m else 0)
     return [m[i][i] for i in range(s)]
 
 
-def _product_rows(rows: Iterable[Sequence[int]], b: IntMatrix) -> list[list[int]]:
-    """The rows of `rows` @ `b`, as plain lists."""
-    cols = b.columns()
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
+def _product_rows(rows: Iterable[Sequence[int]],
+                  cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows of `rows` @ B, as plain lists, for B given by its columns."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
+def _index(factors: Sequence[int], image_rows: Iterable[Sequence[int]]) -> int:
+    """Index in (+) Z/d_i of the subgroup spanned by the columns of
+    `image_rows` (one row per factor)."""
+    return prod(_cokernel_diagonal(factors, image_rows))
+
+
+def _kills(factors: Sequence[int], image_rows: Iterable[Sequence[int]]) -> bool:
+    """True iff every column of `image_rows` is 0 in (+) Z/d_i."""
+    return all(x % d == 0 for row, d in zip(image_rows, factors) for x in row)
 
 
 @dataclass(frozen=True)
@@ -317,7 +340,8 @@ class AbelianHom:
 
     `images` has one row per invariant factor of the target and one
     column per standard generator of Z^k; entry (i, j) is the i-th
-    coordinate of the image of e_j, reduced modulo d_i at construction.
+    coordinate of the image of e_j, reduced modulo d_i at construction
+    (the given matrix is kept when it is already reduced).
     """
 
     target: FiniteAbelianGroup
@@ -329,15 +353,11 @@ class AbelianHom:
                 f"images matrix has {self.images.rows} rows but the target "
                 f"has {self.target.rank} invariant factors"
             )
-        factors = self.target.invariant_factors
-        reduced = IntMatrix(
-            tuple(
-                tuple(x % factors[i] for x in row)
-                for i, row in enumerate(self.images.entries)
-            ),
-            self.images.cols,
-        )
-        object.__setattr__(self, "images", reduced)
+        rows = tuple(zip(self.images.entries, self.target.invariant_factors))
+        if any(not 0 <= x < d for row, d in rows for x in row):
+            reduced = IntMatrix(tuple(tuple(x % d for x in row) for row, d in rows),
+                                self.images.cols)
+            object.__setattr__(self, "images", reduced)
 
     @property
     def source_rank(self) -> int:
@@ -375,7 +395,7 @@ def _image_rows(rho: AbelianHom, sublattice: IntMatrix) -> list[list[int]]:
             f"sublattice has {sublattice.rows} rows but the homomorphism "
             f"expects {rho.source_rank}"
         )
-    return _product_rows(rho.images.entries, sublattice)
+    return _product_rows(rho.images.entries, sublattice._columns)
 
 
 def image_index(rho: AbelianHom, sublattice: IntMatrix) -> int:
@@ -384,18 +404,14 @@ def image_index(rho: AbelianHom, sublattice: IntMatrix) -> int:
     `sublattice` has k rows; its columns generate L.  Equals |G| when
     the image is trivial, and 1 when the restriction is surjective.
     """
-    factors = rho.target.invariant_factors
-    return prod(_cokernel_diagonal(factors, _image_rows(rho, sublattice)))
+    return _index(rho.target.invariant_factors, _image_rows(rho, sublattice))
 
 
 def is_surjective(rho: AbelianHom) -> bool:
     """True iff the homomorphism maps Z^k onto its target."""
-    return prod(_cokernel_diagonal(rho.target.invariant_factors, rho.images.entries)) == 1
+    return _index(rho.target.invariant_factors, rho.images.entries) == 1
 
 
 def kernel_contains(rho: AbelianHom, sublattice: IntMatrix) -> bool:
     """True iff every generator column of the sublattice maps to 0."""
-    factors = rho.target.invariant_factors
-    return all(
-        x % d == 0 for row, d in zip(_image_rows(rho, sublattice), factors) for x in row
-    )
+    return _kills(rho.target.invariant_factors, _image_rows(rho, sublattice))

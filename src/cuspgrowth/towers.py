@@ -9,22 +9,27 @@ index of the image of its sublattice, so all counting happens in exact
 integer arithmetic.  A fibration over a curve with finitely generated
 fiber group caps b1 of every cover whose homomorphism kills the
 fibration's kernel sublattice.
+
+One level costs one integer product: the level's images times every
+cusp and kernel generator of the base, stacked once per base.  Each
+cusp's index and each kernel test reads a slice of that product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
 from .counts import is_prime
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .lattice import (
     AbelianHom,
     IntMatrix,
-    image_index,
-    is_surjective,
-    kernel_contains,
+    _index,
+    _kills,
+    _product_rows,
     smith_normal_form,
 )
 
@@ -100,6 +105,21 @@ class BaseSpace:
                     f"expected {self.ambient_rank}"
                 )
 
+    @cached_property
+    def _generators(self) -> tuple[tuple[tuple[int, ...], ...], list[slice], list[slice]]:
+        """The generator columns of every cusp sublattice, then of every
+        fibration kernel, side by side; and the slice of them that each
+        cusp and each fibration owns."""
+        lattices = [c.sublattice for c in self.cusps]
+        lattices += [f.kernel_sublattice for f in self.fibrations]
+        columns: list[tuple[int, ...]] = []
+        spans = []
+        for lattice in lattices:
+            spans.append(slice(len(columns), len(columns) + lattice.cols))
+            columns += lattice.columns()
+        n = len(self.cusps)
+        return tuple(columns), spans[:n], spans[n:]
+
 
 def _hirzebruch() -> BaseSpace:
     # Blown-up abelian surface minus four elliptic curves; H_1 = Z^4 with
@@ -139,6 +159,14 @@ def _hirzebruch() -> BaseSpace:
 
 #: Built-in base: Hirzebruch's cusped ball quotient (four boundary curves).
 HIRZEBRUCH = _hirzebruch()
+
+
+#: Default cap on the bit length of a deck-group order: of the top level
+#: Z/p^depth of an A or B tower, and of every level of an analyzed spec.
+DEFAULT_DECK_BITS_CAP = 10_000
+
+#: Default cap on the depth of a family C tower.
+DEFAULT_C_DEPTH_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -206,21 +234,24 @@ def analyze_level(base: BaseSpace, rho: AbelianHom) -> LevelReport:
             f"homomorphism expects rank {rho.source_rank}, base has rank "
             f"{base.ambient_rank}"
         )
-    degree = rho.target.order
-    connected = is_surjective(rho)
+    factors = rho.target.invariant_factors
+    columns, cusp_spans, fibration_spans = base._generators
+    images = _product_rows(rho.images.entries, columns)
+    connected = _index(factors, rho.images.entries) == 1
     multiplicities = {
-        cusp.name: image_index(rho, cusp.sublattice) for cusp in base.cusps
+        cusp.name: _index(factors, [row[span] for row in images])
+        for cusp, span in zip(base.cusps, cusp_spans)
     }
     total = sum(multiplicities.values()) if connected else None
     bound = None
     via = None
-    for fib in base.fibrations:
-        if kernel_contains(rho, fib.kernel_sublattice):
+    for fib, span in zip(base.fibrations, fibration_spans):
+        if _kills(factors, [row[span] for row in images]):
             bound = b1_bound_for(fib)
             via = fib.name
             break
     return LevelReport(
-        degree=degree,
+        degree=rho.target.order,
         connected=connected,
         cusp_multiplicities=multiplicities,
         total_cusps=total,
@@ -231,6 +262,43 @@ def analyze_level(base: BaseSpace, rho: AbelianHom) -> LevelReport:
 
 def analyze_tower(spec: TowerSpec) -> TowerReport:
     return TowerReport(tuple(analyze_level(spec.base, rho) for rho in spec.levels))
+
+
+def check_family_size(p: int, depth: int, cap: int) -> None:
+    """Refuse an A or B tower whose top deck group Z/p^depth has an
+    order of more than `cap` bits, before any level is built.
+
+    p^depth has at least depth * (b - 1) + 1 bits, for b the bit length
+    of p.  When that bound is already above the cap, it is what the
+    refusal reports, and p^depth is never computed.  Arguments the
+    builders reject (p < 2, depth < 1) are left to them.
+    """
+    if p < 2 or depth < 1:
+        return
+    bits = depth * (p.bit_length() - 1) + 1
+    if bits <= cap:
+        bits = (p**depth).bit_length()
+    if bits > cap:
+        raise ResourceLimitError(
+            f"the top deck group Z/{p}^{depth} has an order of at least {bits} "
+            f"bits, above the cap of {cap} bits",
+            bits,
+            cap,
+        )
+
+
+def check_spec_size(spec: TowerSpec, cap: int) -> None:
+    """Refuse a spec with a level whose deck-group order has more than
+    `cap` bits."""
+    for idx, rho in enumerate(spec.levels):
+        bits = rho.target.order.bit_length()
+        if bits > cap:
+            raise ResourceLimitError(
+                f"levels[{idx}]: the deck group has an order of {bits} bits, "
+                f"above the cap of {cap} bits",
+                bits,
+                cap,
+            )
 
 
 def build_a_tower(p: int, depth: int) -> TowerSpec:
@@ -272,6 +340,14 @@ def build_b_tower(p: int, depth: int) -> TowerSpec:
         AbelianHom.cyclic(p**j, (1, 1, 1, 1)) for j in range(1, depth + 1)
     )
     return TowerSpec(HIRZEBRUCH, levels)
+
+
+def check_c_size(depth: int, cap: int) -> None:
+    """Refuse a family C tower deeper than `cap` levels."""
+    if depth > cap:
+        raise ResourceLimitError(
+            f"family C depth {depth} is above the cap of {cap} levels", depth, cap
+        )
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion, invariant factors by gcds of minors, subgroup
-orders by breadth-first closure, the integrality condition by a direct
-double loop, contractions by listing every partition into the right
+orders by breadth-first closure, tower levels by one public index or
+kernel call per cusp and fibration, the integrality condition by a
+direct double loop, contractions by listing every partition into the right
 number of blocks, and group orders and primes by the plain searches
 below.  They are slow and only meant for small inputs.
 """
@@ -13,7 +14,20 @@ from itertools import combinations, product
 from math import gcd, isqrt
 from typing import Iterator, Sequence
 
-from cuspgrowth import ContractionPartition, FiniteAbelianGroup, IntMatrix, WeightTuple
+from cuspgrowth import (
+    AbelianHom,
+    BaseSpace,
+    ContractionPartition,
+    FiniteAbelianGroup,
+    IntMatrix,
+    LevelReport,
+    ValidationError,
+    WeightTuple,
+    b1_bound_for,
+    image_index,
+    is_surjective,
+    kernel_contains,
+)
 from cuspgrowth.gf import PrimePowerField
 
 
@@ -81,6 +95,43 @@ def subgroup_elements(group: FiniteAbelianGroup, generator_columns):
                     new.add(s)
         frontier = new
     return elements
+
+
+def analyze_level(base: BaseSpace, rho: AbelianHom) -> LevelReport:
+    """Covering data of the finite abelian cover defined by `rho`.
+
+    Degree is the deck-group order; the cover is connected iff `rho` is
+    surjective.  Each cusp's multiplicity is the index of the image of
+    its sublattice; the total is their sum when the cover is connected.
+    The b1 bound comes from the first declared fibration whose kernel
+    lies inside ker(rho), if any.
+    """
+    if rho.source_rank != base.ambient_rank:
+        raise ValidationError(
+            f"homomorphism expects rank {rho.source_rank}, base has rank "
+            f"{base.ambient_rank}"
+        )
+    degree = rho.target.order
+    connected = is_surjective(rho)
+    multiplicities = {
+        cusp.name: image_index(rho, cusp.sublattice) for cusp in base.cusps
+    }
+    total = sum(multiplicities.values()) if connected else None
+    bound = None
+    via = None
+    for fib in base.fibrations:
+        if kernel_contains(rho, fib.kernel_sublattice):
+            bound = b1_bound_for(fib)
+            via = fib.name
+            break
+    return LevelReport(
+        degree=degree,
+        connected=connected,
+        cusp_multiplicities=multiplicities,
+        total_cusps=total,
+        b1_bound=bound,
+        factoring_fibration=via,
+    )
 
 
 def int_condition_verdict(ws):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cuspgrowth import sl_order
 from cuspgrowth.cli import RunConfig, main, run
 from cuspgrowth.errors import ValidationError
 
@@ -250,6 +251,84 @@ class TestTowerCommands:
         assert "cannot write" in validation_message(code, err)
 
 
+def decimal(n):
+    """str(n) past the interpreter's int-to-decimal digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestTowerSizeGuards:
+    def test_deep_a_tower_exits_3_before_building(self, capsys):
+        code, out, err = run_cli(capsys, "tower", "run", "--family", "A", "--prime", "3",
+                                 "--depth", "20000", "--format", "csv")
+        record = resource_record(code, out, err)
+        assert (record["space"], record["cap"]) == (20001, 10_000)
+        assert "at least 20001 bits" in record["message"]
+
+    def test_deep_c_tower_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "tower", "run", "--family", "C", "--genus", "2",
+                                 "--divisors", "0", "--depth", "2000000")
+        record = resource_record(code, out, err)
+        assert (record["space"], record["cap"]) == (2_000_000, 100_000)
+
+    def test_cap_overrides_the_family_guards(self, capsys):
+        argv = ["tower", "run", "--family", "A", "--prime", "3", "--depth", "4"]
+        code, out, err = run_cli(capsys, *argv, "--cap", "6")  # 3^4 = 81 has 7 bits
+        assert resource_record(code, out, err)["space"] == 7
+        code, out, err = run_cli(capsys, *argv, "--cap", "7")
+        assert code == 0 and err == ""
+        argv = ["tower", "run", "--family", "C", "--genus", "2", "--divisors", "0",
+                "--depth", "5"]
+        assert resource_record(*run_cli(capsys, *argv, "--cap", "4"))["space"] == 5
+        assert run_cli(capsys, *argv, "--cap", "5")[0] == 0
+
+    def test_raised_cap_renders_orders_past_4300_digits(self, tmp_path, capsys):
+        p, depth = 999983, 722
+        top = decimal(p**depth)
+        assert len(top) > 4300
+        spec_path = tmp_path / "spec.json"
+        argv = ["tower", "run", "--family", "A", "--prime", str(p), "--depth", str(depth),
+                "--format", "csv", "--emit-spec", str(spec_path)]
+        # 999983 has 20 bits, so the refusal reports the bound 722 * 19 + 1.
+        assert resource_record(*run_cli(capsys, *argv))["space"] == 13_719
+        assert resource_record(*run_cli(capsys, *argv, "--cap", "14390"))["space"] == 14_391
+        code, out, err = run_cli(capsys, *argv, "--cap", "14391")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].split(",")[:3] == [str(depth), top, "True"]
+        assert top in spec_path.read_text()
+
+    def test_analyze_huge_deck_group(self, tmp_path, capsys):
+        a, b = 10**2499 + 1, 10**2499 + 2  # coprime: the deck group is Z/ab
+        spec = {"base": "hirzebruch",
+                "levels": [{"invariant_factors": [str(a), str(b)],
+                            "images": [["1", "0", "0", "0"]]}]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(spec))
+        argv = ["tower", "analyze", "--spec", str(path), "--format", "json"]
+        record = resource_record(*run_cli(capsys, *argv))
+        assert (record["space"], record["cap"]) == ((a * b).bit_length(), 10_000)
+        assert record["message"].startswith("levels[0]:")
+        code, out, err = run_cli(capsys, *argv, "--cap", "20000")
+        assert code == 0 and err == ""
+        assert f'"degree": {decimal(a * b)},' in out
+
+    @pytest.mark.parametrize("text", ["[" + "7" * 5000 + "]", b"\xff\xfe{"],
+                             ids=["overlong-int", "not-utf8"])
+    def test_unreadable_spec_json_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        code, out, err = run_cli(capsys, "tower", "analyze", "--spec", str(path))
+        assert out == ""
+        assert validation_message(code, err).startswith("malformed tower spec JSON")
+
+
 class TestCongruenceCommands:
     def test_orders_both_methods_agree(self, capsys):
         code, out, _ = run_cli(
@@ -269,6 +348,13 @@ class TestCongruenceCommands:
         assert code == 0
         # 12^3 * (1 - 1/4) * (1 - 1/9) = 1152
         assert json.loads(out)["results"][0]["order"] == 1152
+
+    def test_order_past_4300_digits_is_printed(self, capsys):
+        code, out, err = run_cli(capsys, "congruence", "orders", "--family", "SL",
+                                 "--m", "200", "--q", "2", "--format", "csv")
+        assert code == 0 and err == ""
+        order = out.splitlines()[1].split(",")[-1]
+        assert len(order) > 4300 and order == decimal(sl_order(200, 2).order)
 
     def test_orders_unknown_family_exits_2(self, capsys):
         code, _, err = run_cli(

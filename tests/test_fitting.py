@@ -2,7 +2,13 @@ import math
 
 import pytest
 
-from cuspgrowth import ValidationError, fit_exponent, match_verdict, su_order
+from cuspgrowth import (
+    ValidationError,
+    exponent_checks,
+    fit_exponent,
+    match_verdict,
+    su_order,
+)
 from cuspgrowth.counts import primes_in_range
 
 
@@ -48,3 +54,43 @@ class TestMatchVerdict:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValidationError):
             match_verdict(3.0, 3.0, 0.0)
+
+
+class TestExponentChecks:
+    PRIMES = primes_in_range(5, 199)
+
+    def test_n2_targets_and_tolerances(self):
+        records = exponent_checks(2, 2, self.PRIMES)
+        assert [(r["name"], r["target"], r["tolerance"]) for r in records] == [
+            ("su3_order_vs_q", 8.0, 0.05),
+            ("psl2_order_vs_q", 3.0, 0.05),
+            ("cusp_index_vs_q", 5.0, 0.05),
+            ("b1_vs_vol", 3 / 8, 0.02),
+            ("cusps_vs_vol", 5 / 8, 0.02),
+        ]
+        assert all(r["verdict"] == "MATCH" for r in records)
+        assert all(r["points"] == len(self.PRIMES) for r in records)
+        assert all("stated_rate" not in r for r in records)
+
+    def test_n3_flags_the_divergence_from_the_stated_rate(self):
+        records = {r["name"]: r for r in exponent_checks(3, 2, self.PRIMES)}
+        assert records["su4_order_vs_q"]["tolerance"] == 0.1
+        cusps = records["cusps_vs_vol"]
+        assert cusps["target"] == 10 / 15
+        assert abs(cusps["slope"] - 2 / 3) <= 0.02
+        assert cusps["verdict"] == "MATCH"
+        assert cusps["stated_rate"] == 0.4
+        assert cusps["stated_rate_verdict"] == "DIVERGES_FROM_STATED_RATE"
+        assert "diverges" in cusps["note"]
+        assert all("stated_rate" not in r for name, r in records.items()
+                   if name != "cusps_vs_vol")
+
+    def test_stated_rate_verdict_uses_the_tolerance(self):
+        # Within a tolerance of 0.3, 2/3 and 2/5 no longer differ.
+        cusps = exponent_checks(3, 2, self.PRIMES, 0.3)[-1]
+        assert cusps["stated_rate_verdict"] == "MATCHES_STATED_RATE"
+
+    def test_tolerance_overrides_every_check(self):
+        records = exponent_checks(2, 2, self.PRIMES, 1e-9)
+        assert all(r["tolerance"] == 1e-9 for r in records)
+        assert any(r["verdict"] == "MISMATCH" for r in records)

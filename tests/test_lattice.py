@@ -15,6 +15,7 @@ from cuspgrowth import (
     kernel_contains,
     smith_normal_form,
 )
+from cuspgrowth.lattice import _cokernel_diagonal, _smith_eliminate
 from oracles import det_cofactor, minor_gcd_diagonal, subgroup_elements
 
 
@@ -36,6 +37,13 @@ class TestIntMatrix:
         assert empty_gens.shape == (1, 0)
         no_rows = IntMatrix.zeros(0, 4)
         assert no_rows.shape == (0, 4)
+
+    def test_columns(self):
+        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert m.columns() == [(1, 4), (2, 5), (3, 6)]
+        assert m.columns() is not m.columns()  # callers may mutate their copy
+        assert IntMatrix.zeros(0, 3).columns() == [(), (), ()]
+        assert IntMatrix.zeros(2, 0).columns() == []
 
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
@@ -226,6 +234,53 @@ class TestCokernel:
 
 A_RHO = AbelianHom.cyclic(9, (1, 0, 0, 0))
 E = IntMatrix.identity(4).columns()
+
+
+def eliminated_diagonal(d, row):
+    """The one-row Smith diagonal by the general elimination."""
+    m = [[d] + list(row)]
+    _smith_eliminate(m, 1, len(m[0]))
+    return [m[0][0]]
+
+
+class TestOneRowCokernel:
+    BIG = 2**2000
+
+    @pytest.mark.parametrize("d, row", [
+        (9, []),
+        (9, [0, 0, 0]),
+        (9, [-6, 0, 15]),
+        (12, [-8, -18]),
+        (7, [-1]),
+        (2**2000 + 1, [0, -(3**1200), 0]),
+        (2**1999 * 3, [-(2**1500) * 9, 2**1800 * 15, 0]),
+    ])
+    def test_gcd_equals_elimination(self, d, row):
+        assert _cokernel_diagonal([d], [row]) == eliminated_diagonal(d, row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=BIG),
+        st.lists(st.one_of(st.just(0), st.integers(min_value=-BIG, max_value=BIG),
+                           st.integers(min_value=-20, max_value=20)), max_size=6),
+        st.integers(min_value=0, max_value=2000),
+    )
+    def test_gcd_equals_elimination_property(self, d, row, shift):
+        # Scaling by 2^shift makes the entries share large factors.
+        d, row = d << shift, [x << shift for x in row]
+        assert _cokernel_diagonal([d], [row]) == eliminated_diagonal(d, row)
+
+
+class TestAbelianHomReduction:
+    def test_reduced_images_are_kept(self):
+        images = IntMatrix.from_rows([[1, 0, 2], [0, 3, 11]])
+        rho = AbelianHom(FiniteAbelianGroup((3, 12)), images)
+        assert rho.images is images
+
+    @pytest.mark.parametrize("row", [[-1, 0, 0], [0, 12, 0], [25, 0, 1]])
+    def test_unreduced_images_are_reduced(self, row):
+        rho = AbelianHom(FiniteAbelianGroup((3, 12)), IntMatrix.from_rows([[0, 1, 2], row]))
+        assert rho.images.entries == ((0, 1, 2), tuple(x % 12 for x in row))
 
 
 class TestImageIndex:

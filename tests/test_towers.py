@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from cuspgrowth import (
     HIRZEBRUCH,
     AbelianHom,
+    BaseSpace,
     CuspData,
     FibrationData,
     FiniteAbelianGroup,
@@ -15,7 +19,10 @@ from cuspgrowth import (
     build_a_tower,
     build_b_tower,
     c_tower_report,
+    smith_normal_form,
 )
+from cuspgrowth.errors import ResourceLimitError
+from cuspgrowth.towers import check_c_size, check_family_size, check_spec_size
 from math import gcd
 
 
@@ -93,6 +100,110 @@ class TestAnalyzeLevel:
     def test_rank_mismatch(self):
         with pytest.raises(ValidationError, match="rank"):
             analyze_level(HIRZEBRUCH, AbelianHom.cyclic(3, (1, 0)))
+
+
+@st.composite
+def explicit_levels(draw):
+    """A random explicit base of rank 1-5 (1-4 cusps, 0-2 fibrations) and
+    a level onto a cyclic or non-cyclic deck group of order <= 1000."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-3, max_value=3)
+
+    def lattice(max_cols):
+        n = draw(st.integers(min_value=1, max_value=min(max_cols, k)))
+        return IntMatrix.from_rows([[draw(entry) for _ in range(n)] for _ in range(k)], n)
+
+    cusps = []
+    for c in range(draw(st.integers(min_value=1, max_value=4))):
+        sub = lattice(3)
+        assume(smith_normal_form(sub).rank == sub.cols)
+        cusps.append(CuspData(f"K{c}", sub))
+    fibrations = tuple(
+        FibrationData(f"F{f}", lattice(2), target_rank=1, fiber_genus=1, fiber_punctures=f)
+        for f in range(draw(st.integers(min_value=0, max_value=2)))
+    )
+    if draw(st.booleans()):
+        moduli = [draw(st.integers(min_value=1, max_value=1000))]
+    else:
+        moduli = draw(st.lists(st.integers(min_value=2, max_value=12), min_size=2, max_size=3))
+    target = FiniteAbelianGroup.from_cyclic_factors(moduli)
+    assume(target.order <= 1000)
+    images = IntMatrix.from_rows(
+        [[draw(st.integers(min_value=-30, max_value=30)) for _ in range(k)]
+         for _ in range(target.rank)], k)
+    return BaseSpace(k, tuple(cusps), fibrations), AbelianHom(target, images)
+
+
+def subgroup_order(rho, lattice):
+    """Order of the subgroup of the deck group spanned by the images of
+    the lattice's generator columns, by closure."""
+    images = [
+        tuple(sum(x * y for x, y in zip(row, col)) for row in rho.images.entries)
+        for col in lattice.columns()
+    ]
+    return len(oracles.subgroup_elements(rho.target, images))
+
+
+class TestAnalyzeLevelOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(explicit_levels())
+    def test_matches_public_calls_and_closure(self, case):
+        base, rho = case
+        report = analyze_level(base, rho)
+        assert report == oracles.analyze_level(base, rho)
+        order = rho.target.order
+        assert report.degree == order
+        assert report.connected == (
+            subgroup_order(rho, IntMatrix.identity(base.ambient_rank)) == order)
+        assert report.cusp_multiplicities == {
+            c.name: order // subgroup_order(rho, c.sublattice) for c in base.cusps}
+        inherited = [f for f in base.fibrations
+                     if subgroup_order(rho, f.kernel_sublattice) == 1]
+        assert report.factoring_fibration == (inherited[0].name if inherited else None)
+        assert report.b1_bound == (b1_bound_for(inherited[0]) if inherited else None)
+
+    def test_base_with_no_cusps_or_fibrations(self):
+        base = BaseSpace(2, ())
+        rho = AbelianHom(FiniteAbelianGroup((2, 4)), IntMatrix.from_rows([[1, 0], [0, 1]]))
+        report = analyze_level(base, rho)
+        assert report == oracles.analyze_level(base, rho)
+        assert report.total_cusps == 0 and report.factoring_fibration is None
+
+
+class TestSizeGuards:
+    def test_family_bits_exact_at_the_cap(self):
+        check_family_size(2, 99, 100)  # 2^99 has 100 bits
+        with pytest.raises(ResourceLimitError) as info:
+            check_family_size(2, 100, 100)
+        assert (info.value.space, info.value.cap) == (101, 100)
+
+    def test_family_bits_exact_when_the_bound_is_under_the_cap(self):
+        with pytest.raises(ResourceLimitError) as info:
+            check_family_size(3, 100, 150)  # the bound says 101 bits
+        assert info.value.space == (3**100).bit_length() == 159
+
+    def test_huge_depth_is_refused_from_the_bound(self):
+        with pytest.raises(ResourceLimitError) as info:
+            check_family_size(5, 10**15, 10_000)
+        assert info.value.space == 2 * 10**15 + 1
+
+    def test_invalid_arguments_are_left_to_the_builders(self):
+        for p, depth in ((1, 10**15), (0, 5), (3, 0), (3, -7)):
+            check_family_size(p, depth, 10)
+
+    def test_spec_orders(self):
+        spec = TowerSpec(HIRZEBRUCH, (AbelianHom.cyclic(8, (1, 0, 0, 0)),
+                                      AbelianHom.cyclic(16, (1, 0, 0, 0))))
+        check_spec_size(spec, 5)
+        with pytest.raises(ResourceLimitError, match=r"levels\[1\]") as info:
+            check_spec_size(spec, 4)
+        assert (info.value.space, info.value.cap) == (5, 4)
+
+    def test_c_depth(self):
+        check_c_size(10, 10)
+        with pytest.raises(ResourceLimitError) as info:
+            check_c_size(11, 10)
+        assert (info.value.space, info.value.cap) == (11, 10)
 
 
 class TestBuildTowers:
