@@ -10,8 +10,10 @@ Subcommands:
 * ``congruence orders|exponents|dtower`` -- classical group orders and
   congruence-tower growth exponents.
 
-Exit codes: 0 success, 2 validation error, 3 resource refusal.  Errors
-are emitted as one-line JSON records on stderr.
+Exit codes: 0 success, 2 validation error, 3 resource refusal.  Errors,
+argument-parsing errors included, are emitted as one-line JSON records
+on stderr.  The parser is built once per process, on the first `main`
+call.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -425,8 +428,20 @@ def _error_record(kind: str, message: str, **extra: Any) -> None:
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise `ValidationError`, so they end
+    as a JSON error record with exit 2 instead of usage text.  Subparsers
+    are built from the same class."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+@cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    """The whole argument tree; built on the first call and then shared,
+    which is safe as parsing keeps no state in the parser."""
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "table"], default="table",
                         help="output format (default: table)")
     common.add_argument("--cap", type=int, default=None,
@@ -438,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "run C")
     common.add_argument("--out", default=None, help="write output to this file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cuspgrowth",
         description="Exact arithmetic for weight-tuple integrality, covering-tower "
                     "cusp counts, classical group orders, and growth exponents.",
@@ -517,10 +532,8 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
-        config = config_from_args(ns)
+        config = config_from_args(_build_parser().parse_args(argv))
     except ValidationError as exc:
         _error_record("validation", str(exc))
         return 2

@@ -61,10 +61,14 @@ def fit_exponent(pairs: Sequence[tuple[int, int]]) -> ExponentFit:
                        points_used=n)
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValidationError(f"tolerance must be positive and finite, got {tolerance}")
+
+
 def match_verdict(slope: float, target: float, tolerance: float) -> str:
     """MATCH when the slope is within `tolerance` of the target."""
-    if tolerance <= 0:
-        raise ValidationError("tolerance must be positive")
+    _check_tolerance(tolerance)
     return "MATCH" if abs(slope - target) <= tolerance else "MISMATCH"
 
 
@@ -79,6 +83,8 @@ def exponent_checks(n: int, genus: int, primes: Sequence[int],
     also carries the stated vol^(2/5) rate and whether the fit diverges
     from it.
     """
+    if tolerance is not None:
+        _check_tolerance(tolerance)  # before the series, which can take seconds
     rows = d_tower_rows(n, genus, primes)
     series = [d for d, _ in rows]
     vol_vs_q = [(d.q, d.vol_proxy) for d in series]

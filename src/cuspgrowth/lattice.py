@@ -308,13 +308,26 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_cyclic_factors(cls, moduli: Iterable[int]) -> "FiniteAbelianGroup":
-        """Canonicalize an arbitrary direct sum of cyclic groups Z/m_i."""
+        """Canonicalize an arbitrary direct sum of cyclic groups Z/m_i.
+
+        Z/a (+) Z/b is Z/gcd(a, b) (+) Z/lcm(a, b), so replacing each pair
+        i < j by (gcd, lcm) leaves m_i dividing every later modulus; after
+        all pairs the list is a divisor chain, the invariant factors, in
+        quadratic time.
+        """
         ms = [m for m in moduli]
         for m in ms:
             if m <= 0:
                 raise ValidationError(f"cyclic factor moduli must be positive, got {m}")
         ms = [m for m in ms if m > 1]
-        return cls(tuple(_cokernel_diagonal(ms, [()] * len(ms))))
+        for i in range(len(ms)):
+            a = ms[i]
+            for j in range(i + 1, len(ms)):
+                b = ms[j]
+                g = gcd(a, b)
+                a, ms[j] = g, a // g * b
+            ms[i] = a
+        return cls(tuple(ms))
 
     @property
     def rank(self) -> int:

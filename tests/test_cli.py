@@ -1,8 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspgrowth import sl_order
 from cuspgrowth.cli import RunConfig, main, run
@@ -491,3 +496,163 @@ class TestSubprocess:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+
+class TestParseErrors:
+    # The messages are argparse's, which words them a little differently
+    # across Python versions; each test pins only a stable part.
+    @pytest.mark.parametrize("argv, message", [
+        (["dm", "check"], "the following arguments are required: --tuple"),
+        (["dm", "check", "--tuple", "1/2", "--format", "xml"],
+         "argument --format: invalid choice: 'xml'"),
+        (["tower", "run", "--family", "A", "--prime", "x", "--depth", "2"],
+         "argument --prime: invalid int value: 'x'"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+        (["dm"], "the following arguments are required: subcommand"),
+        (["dm", "check", "--tuple", "1/2", "--bogus", "3"],
+         "unrecognized arguments: --bogus 3"),
+        (["congruence", "exponents", "--n", "2", "--prime-min", "5", "--prime-max"],
+         "argument --prime-max: expected one argument"),
+    ])
+    def test_parse_error_is_one_json_record(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert out == ""
+        text = validation_message(code, err)
+        assert text.startswith("cuspgrowth") and message in text
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["dm", "check", "--help"],
+                                      ["congruence", "orders", "-h"]])
+    def test_help_exits_0_on_stdout(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.out.startswith("usage: cuspgrowth")
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "0"])
+    def test_bad_tolerance_exits_2(self, capsys, tolerance):
+        code, out, err = run_cli(
+            capsys, "congruence", "exponents", "--n", "2", "--prime-min", "5",
+            "--prime-max", "50", f"--tolerance={tolerance}", "--format", "json",
+        )
+        assert out == ""
+        assert "tolerance must be positive and finite" in validation_message(code, err)
+
+    def test_parser_is_built_once_and_not_on_import(self):
+        code = (
+            "import cuspgrowth, cuspgrowth.cli as cli\n"
+            "print(cli._build_parser.cache_info().misses)\n"
+            "cli.main(['dm', 'check', '--tuple', '1/2,1/2,1/2,1/2'])\n"
+            "cli.main(['bogus'])\n"
+            "cli.main(['dm', 'check', '--tuple', '1/2,1/2,1/2,1/2'])\n"
+            "print(cli._build_parser.cache_info().misses)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("0", "1")
+
+
+SPEC = str(Path(__file__).parent / "golden" / "explicit_spec.json")
+COMMON = ["--format", "--cap"]
+#: The flags of each subcommand, and heads that are partial or unknown.
+#: -h/--help is left out, and so are --out and --emit-spec, which write files.
+COMMAND_FLAGS = {
+    ("dm", "check"): ["--tuple"],
+    ("dm", "contract"): ["--tuple", "--blocks"],
+    ("dm", "find-contraction"): ["--tuple", "--target"],
+    ("dm", "enumerate"): ["--length", "--max-denominator"],
+    ("tower", "run"): ["--family", "--prime", "--depth", "--genus", "--divisors"],
+    ("tower", "analyze"): ["--spec"],
+    ("congruence", "orders"): ["--family", "--m", "--q", "--method"],
+    ("congruence", "exponents"): ["--n", "--genus", "--prime-min", "--prime-max",
+                                  "--tolerance"],
+    ("congruence", "dtower"): ["--n", "--genus", "--prime-min", "--prime-max"],
+    (): [], ("dm",): [], ("tower",): [], ("bogus",): [], ("dm", "bogus"): [],
+}
+#: Values for each flag, valid ones kept small so that an accepted run
+#: stays cheap (a brute-force SL_3(F_4) is the largest).
+VALUES = {
+    "--format": ["json", "csv", "table"],
+    "--cap": ["1", "100", "100000"],
+    "--tuple": ["2/6,2/6,3/6,4/6,1/6", "2/6,2/6,3/6,3/6,1/6,1/6", "1/2,1/2,1/2,1/2",
+                "1/2", "0.5,0.5"],
+    "--target": ["1/6,3/6,4/6,4/6", "1/2,1/2,1/2,1/2"],
+    "--blocks": ["0,1|2|3|4", "0|1|2", "0,x", "|"],
+    "--length": ["3", "4", "0"],
+    "--max-denominator": ["3", "6", "0"],
+    "--family": ["A", "B", "C", "d", "SL", "SU", "U", "SL2_ZN", "UNITRIANGULAR_U"],
+    "--prime": ["2", "3", "5", "4", "0"],
+    "--depth": ["1", "3", "0"],
+    "--genus": ["0", "2"],
+    "--divisors": ["0", "0,2", "0,x"],
+    "--spec": [SPEC, "no-such-spec.json"],
+    "--m": ["1", "2", "3", "0"],
+    "--q": ["2", "3", "4", "6", "1"],
+    "--method": ["formula", "brute", "both"],
+    "--n": ["2", "3", "1"],
+    "--prime-min": ["2", "5"],
+    "--prime-max": ["3", "30"],
+    "--tolerance": ["0.05", "1e-9", "nan", "inf", "0"],
+    "--bogus": ["1"],
+}
+OPTIONAL = {"--format", "--cap", "--prime", "--genus", "--divisors", "--method",
+            "--tolerance"}
+MALFORMED = ["", "x", "1.5", "-1", "0", "xml", "1" * 5000]
+ALL_FLAGS = sorted(VALUES)
+
+
+def flag_and_value(flags, values=None):
+    return st.sampled_from(flags).flatmap(lambda flag: st.tuples(
+        st.just(flag), st.sampled_from(VALUES[flag] if values is None else values)))
+
+
+@st.composite
+def argvs(draw):
+    """A head; the flags of that subcommand with values of their own, the
+    optional ones left out at times and one required flag at times; then,
+    at times, stray tokens, foreign flags or malformed values."""
+    argv = list(draw(st.sampled_from(list(COMMAND_FLAGS))))
+    flags = COMMAND_FLAGS[tuple(argv)] + COMMON
+    dropped = draw(st.sampled_from([None] * 8 + [f for f in flags if f not in OPTIONAL]))
+    for flag in flags:
+        value = draw(st.sampled_from(VALUES[flag] + [None] * (flag in OPTIONAL)))
+        if value is not None and flag != dropped:
+            argv += [flag, value]
+    if draw(st.sampled_from([False] * 3 + [True])):
+        for group in draw(st.lists(st.one_of(
+            flag_and_value(ALL_FLAGS, MALFORMED),
+            flag_and_value(ALL_FLAGS),
+            st.sampled_from(ALL_FLAGS + MALFORMED).map(lambda token: (token,)),
+        ), min_size=1, max_size=2)):
+            argv += group
+    return argv
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            raise AssertionError(f"SystemExit({exc.code}) escaped for {argv}") from exc
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArgvContract:
+    @settings(max_examples=500, deadline=None)
+    @given(argvs())
+    def test_every_argv_ends_inside_the_contract(self, argv):
+        code, out, err = run_captured(argv)
+        if code == 0:
+            assert err == ""
+            return
+        assert code in (2, 3), (argv, code)
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1, (argv, err)
+        record = json.loads(lines[0])
+        assert set(record) == {"error"}
+        assert record["error"]["type"] == ("validation" if code == 2 else "resource")

@@ -9,6 +9,7 @@ from cuspgrowth import (
     match_verdict,
     su_order,
 )
+from cuspgrowth import fitting
 from cuspgrowth.counts import primes_in_range
 
 
@@ -55,6 +56,11 @@ class TestMatchVerdict:
         with pytest.raises(ValidationError):
             match_verdict(3.0, 3.0, 0.0)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_tolerance_must_be_finite(self, tolerance):
+        with pytest.raises(ValidationError, match="finite"):
+            match_verdict(3.0, 3.0, tolerance)
+
 
 class TestExponentChecks:
     PRIMES = primes_in_range(5, 199)
@@ -89,6 +95,15 @@ class TestExponentChecks:
         # Within a tolerance of 0.3, 2/3 and 2/5 no longer differ.
         cusps = exponent_checks(3, 2, self.PRIMES, 0.3)[-1]
         assert cusps["stated_rate_verdict"] == "MATCHES_STATED_RATE"
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_non_finite_tolerance_is_refused_before_the_series(self, monkeypatch, tolerance):
+        def series(*args):
+            raise AssertionError("the D-tower series was built")
+
+        monkeypatch.setattr(fitting, "d_tower_rows", series)
+        with pytest.raises(ValidationError, match="finite"):
+            exponent_checks(2, 2, self.PRIMES, tolerance)
 
     def test_tolerance_overrides_every_check(self):
         records = exponent_checks(2, 2, self.PRIMES, 1e-9)

@@ -10,7 +10,7 @@ covered.  Regenerate them only for an intended output change:
 """
 
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -61,6 +61,22 @@ def stdout_of(argv) -> bytes:
 def test_golden_stdout(name, fmt):
     argv, _ = EXAMPLES[name]
     assert stdout_of([*argv, "--format", fmt]) == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+def test_golden_stdout_in_one_process(tmp_path):
+    """Every example twice in one process, forwards and then backwards, each
+    after a run and a failed parse that set flags the examples leave at
+    their defaults: whatever one call left in the shared parser would
+    show in the next output."""
+    out = str(tmp_path / "out")
+    ran = ["dm", "check", "--tuple", "1/2,1/2,1/2,1/2", "--cap", "1", "--out", out]
+    failed = ["tower", "run", "--family", "C", "--genus", "3", "--divisors", "0,1",
+              "--cap", "1", "--out", out, "--depth", "x"]
+    for name, fmt in CASES + CASES[::-1]:
+        with redirect_stderr(io.StringIO()):
+            assert (main(ran), main(failed)) == (0, 2)
+        argv, _ = EXAMPLES[name]
+        assert stdout_of([*argv, "--format", fmt]) == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 def test_emit_spec_round_trip(tmp_path):

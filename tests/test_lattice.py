@@ -179,6 +179,23 @@ class TestFiniteAbelianGroup:
         assert FiniteAbelianGroup.from_cyclic_factors([4, 6]).invariant_factors == (2, 12)
         assert FiniteAbelianGroup.from_cyclic_factors([1, 1]).is_trivial
 
+    BIG = 2**2000
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(1), st.sampled_from([2, 3, 4, 6, 8, 9, 12, 25]),
+                              st.integers(min_value=1, max_value=10**6),
+                              st.integers(min_value=1, max_value=BIG)),
+                    max_size=8),
+           st.integers(min_value=0, max_value=3))
+    def test_from_cyclic_factors_equals_elimination(self, moduli, repeat):
+        # Repeating the first modulus gives repeated factors of any size.
+        moduli = moduli + moduli[:1] * repeat
+        s = len(moduli)
+        m = [[d if j == i else 0 for j in range(s)] for i, d in enumerate(moduli)]
+        _smith_eliminate(m, s, s)
+        expected = tuple(m[i][i] for i in range(s) if m[i][i] > 1)
+        assert FiniteAbelianGroup.from_cyclic_factors(moduli).invariant_factors == expected
+
     def test_order_and_elements(self):
         g = FiniteAbelianGroup((2, 4))
         assert g.order == 8
