@@ -24,10 +24,9 @@ import io
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from . import counts, weights
 from .counts import GroupFamily
@@ -56,23 +55,6 @@ from .towers import (
     check_spec_size,
 )
 from .weights import ContractionPartition, WeightTuple
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved invocation: command path, parameters, output."""
-
-    command: tuple[str, ...]
-    params: dict[str, Any] = field(default_factory=dict)
-    fmt: str = "table"
-    cap: Optional[int] = None
-    out: Optional[str] = None
-
-    def __post_init__(self):
-        if self.fmt not in ("json", "csv", "table"):
-            raise ValidationError(f"unknown output format {self.fmt!r}")
-        if self.cap is not None and self.cap < 1:
-            raise ValidationError("resource caps must be positive")
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -121,16 +103,17 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns the JSON document and a text view, which is
-# either (headers, rows), rendered as a table or as CSV, or a fixed text
-# that has no CSV form.
+# Handlers: each leaf subparser names its own with `set_defaults`.  A
+# handler reads the parsed namespace and returns the JSON document and a
+# text view, which is either (headers, rows), rendered as a table or as
+# CSV, or a fixed text that has no CSV form.
 
 Table = tuple[list[str], list[list[Any]]]
 Rendered = tuple[dict, Union[str, Table]]
 
 
-def _dm_check(config: RunConfig) -> Rendered:
-    mu = WeightTuple.parse(config.params["tuple"])
+def _dm_check(ns: argparse.Namespace) -> Rendered:
+    mu = WeightTuple.parse(ns.tuple)
     status = weights.check_int(mu)
     doc = {"weights": weights_to_json(mu), **int_status_to_json(status)}
     lines = [f"weights: {', '.join(mu.as_strings())}", f"verdict: {status.verdict.value}"]
@@ -141,9 +124,9 @@ def _dm_check(config: RunConfig) -> Rendered:
     return doc, "\n".join(lines) + "\n"
 
 
-def _dm_contract(config: RunConfig) -> Rendered:
-    mu = WeightTuple.parse(config.params["tuple"])
-    partition = _parse_blocks(config.params["blocks"])
+def _dm_contract(ns: argparse.Namespace) -> Rendered:
+    mu = WeightTuple.parse(ns.tuple)
+    partition = _parse_blocks(ns.blocks)
     result = weights.contract(mu, partition)
     doc = {
         "source": weights_to_json(mu),
@@ -159,10 +142,10 @@ def _dm_contract(config: RunConfig) -> Rendered:
     return doc, text
 
 
-def _dm_find_contraction(config: RunConfig) -> Rendered:
-    mu = WeightTuple.parse(config.params["tuple"])
-    nu = WeightTuple.parse(config.params["target"])
-    cap = config.cap if config.cap is not None else weights.DEFAULT_CONTRACTION_CAP
+def _dm_find_contraction(ns: argparse.Namespace) -> Rendered:
+    mu = WeightTuple.parse(ns.tuple)
+    nu = WeightTuple.parse(ns.target)
+    cap = ns.cap if ns.cap is not None else weights.DEFAULT_CONTRACTION_CAP
     partition = weights.find_contraction(mu, nu, cap=cap)
     if partition is None:
         doc = {"found": False, "source": weights_to_json(mu), "target": weights_to_json(nu)}
@@ -178,14 +161,12 @@ def _dm_find_contraction(config: RunConfig) -> Rendered:
     return doc, text
 
 
-def _dm_enumerate(config: RunConfig) -> Rendered:
-    length = config.params["length"]
-    max_denominator = config.params["max_denominator"]
-    cap = config.cap if config.cap is not None else weights.DEFAULT_ENUMERATION_CAP
-    found = weights.enumerate_tuples(length, max_denominator, cap=cap)
+def _dm_enumerate(ns: argparse.Namespace) -> Rendered:
+    cap = ns.cap if ns.cap is not None else weights.DEFAULT_ENUMERATION_CAP
+    found = weights.enumerate_tuples(ns.length, ns.max_denominator, cap=cap)
     doc = {
-        "length": length,
-        "max_denominator": max_denominator,
+        "length": ns.length,
+        "max_denominator": ns.max_denominator,
         "count": len(found),
         "tuples": [
             {"weights": weights_to_json(mu), "verdict": status.verdict.value}
@@ -217,21 +198,18 @@ def _tower_table(report: TowerReport) -> Table:
     return headers, rows
 
 
-def _tower_run(config: RunConfig) -> Rendered:
-    family = config.params["family"].upper()
-    depth = config.params["depth"]
+def _tower_run(ns: argparse.Namespace) -> Rendered:
+    family = ns.family.upper()
     if family == "C":
-        genus = config.params.get("genus")
-        divisors = config.params.get("divisors")
-        if genus is None or divisors is None:
+        if ns.genus is None or ns.divisors is None:
             raise ValidationError("family C needs --genus and --divisors")
-        check_c_size(depth, config.cap if config.cap is not None else DEFAULT_C_DEPTH_CAP)
-        levels = c_tower_report(genus, _parse_int_list(divisors, "divisors"), depth)
+        check_c_size(ns.depth, ns.cap if ns.cap is not None else DEFAULT_C_DEPTH_CAP)
+        divisors = _parse_int_list(ns.divisors, "divisors")
+        levels = c_tower_report(ns.genus, divisors, ns.depth)
         rows = [[lv.level, lv.degree, lv.b1_surface, lv.total_cusps] for lv in levels]
         return (c_tower_report_to_json(levels),
                 (["level", "degree", "b1_surface", "total_cusps"], rows))
-    prime = config.params.get("prime")
-    if prime is None:
+    if ns.prime is None:
         raise ValidationError(f"family {family} needs --prime")
     if family == "A":
         build = build_a_tower
@@ -239,19 +217,18 @@ def _tower_run(config: RunConfig) -> Rendered:
         build = build_b_tower
     else:
         raise ValidationError(f"unknown family {family!r}; expected A, B, or C")
-    check_family_size(prime, depth,
-                      config.cap if config.cap is not None else DEFAULT_DECK_BITS_CAP)
-    spec = build(prime, depth)
-    emit_spec = config.params.get("emit_spec")
-    if emit_spec:
+    check_family_size(ns.prime, ns.depth,
+                      ns.cap if ns.cap is not None else DEFAULT_DECK_BITS_CAP)
+    spec = build(ns.prime, ns.depth)
+    if ns.emit_spec:
         with _any_int_digits():
-            _write(emit_spec, dumps_canonical(tower_spec_to_json(spec)))
+            _write(ns.emit_spec, dumps_canonical(tower_spec_to_json(spec)))
     report = analyze_tower(spec)
     return tower_report_to_json(report), _tower_table(report)
 
 
-def _tower_analyze(config: RunConfig) -> Rendered:
-    path = config.params["spec"]
+def _tower_analyze(ns: argparse.Namespace) -> Rendered:
+    path = ns.spec
     try:
         if path == "-":
             data = json.load(sys.stdin)
@@ -263,26 +240,25 @@ def _tower_analyze(config: RunConfig) -> Rendered:
     except ValueError as exc:  # JSONDecodeError, undecodable bytes, overlong ints
         raise ValidationError(f"malformed tower spec JSON in {path!r}: {exc}") from exc
     spec = tower_spec_from_json(data)
-    check_spec_size(spec, config.cap if config.cap is not None else DEFAULT_DECK_BITS_CAP)
+    check_spec_size(spec, ns.cap if ns.cap is not None else DEFAULT_DECK_BITS_CAP)
     report = analyze_tower(spec)
     return tower_report_to_json(report), _tower_table(report)
 
 
-def _congruence_orders(config: RunConfig) -> Rendered:
-    family = config.params["family"].upper()
+def _congruence_orders(ns: argparse.Namespace) -> Rendered:
+    family = ns.family.upper()
     if family not in GroupFamily.__members__:
         raise ValidationError(
             f"unknown family {family!r}; expected one of {', '.join(GroupFamily.__members__)}"
         )
     family = GroupFamily[family]
-    m = config.params["m"]
-    q = config.params["q"]
-    method = config.params.get("method", "formula")
-    cap = config.cap if config.cap is not None else counts.DEFAULT_BRUTE_CAP
+    m, q = ns.m, ns.q
     results = []
-    if method in ("formula", "both"):
-        results.append(counts.order_formula(family, m, q))
-    if method in ("brute", "both"):
+    if ns.method in ("formula", "both"):
+        cap = ns.cap if ns.cap is not None else counts.DEFAULT_ORDER_BITS_CAP
+        results.append(counts.order_formula(family, m, q, cap=cap))
+    if ns.method in ("brute", "both"):
+        cap = ns.cap if ns.cap is not None else counts.DEFAULT_BRUTE_CAP
         results.append(counts.brute_force_order(family, m, q, cap=cap))
     doc: dict[str, Any] = {
         "family": family.value,
@@ -296,20 +272,16 @@ def _congruence_orders(config: RunConfig) -> Rendered:
     return doc, (["family", "m", "q", "method", "order"], rows)
 
 
-def _congruence_exponents(config: RunConfig) -> Rendered:
-    n = config.params["n"]
-    genus = config.params["genus"]
-    lo = config.params["prime_min"]
-    hi = config.params["prime_max"]
-    tolerance = config.params.get("tolerance")
-    cap = config.cap if config.cap is not None else counts.DEFAULT_PRIME_CAP
+def _congruence_exponents(ns: argparse.Namespace) -> Rendered:
+    lo, hi = ns.prime_min, ns.prime_max
+    cap = ns.cap if ns.cap is not None else counts.DEFAULT_PRIME_CAP
     primes = counts.primes_in_range(lo, hi, cap=cap)
     if len(primes) < 2:
         raise ValidationError(f"need at least 2 primes in [{lo}, {hi}], got {len(primes)}")
-    records = exponent_checks(n, genus, primes, tolerance)
+    records = exponent_checks(ns.n, ns.genus, primes, ns.tolerance)
     doc = {
-        "n": n,
-        "genus": genus,
+        "n": ns.n,
+        "genus": ns.genus,
         "primes": {"min": lo, "max": hi, "count": len(primes)},
         "checks": records,
     }
@@ -322,19 +294,16 @@ def _congruence_exponents(config: RunConfig) -> Rendered:
     return doc, (["name", "slope", "target", "tolerance", "verdict"], rows)
 
 
-def _congruence_dtower(config: RunConfig) -> Rendered:
-    n = config.params["n"]
-    genus = config.params["genus"]
-    lo = config.params["prime_min"]
-    hi = config.params["prime_max"]
-    cap = config.cap if config.cap is not None else counts.DEFAULT_PRIME_CAP
+def _congruence_dtower(ns: argparse.Namespace) -> Rendered:
+    lo, hi = ns.prime_min, ns.prime_max
+    cap = ns.cap if ns.cap is not None else counts.DEFAULT_PRIME_CAP
     primes = counts.primes_in_range(lo, hi, cap=cap)
     if not primes:
         raise ValidationError(f"no primes in [{lo}, {hi}]")
-    series = counts.d_tower_series(n, genus, primes)
+    series = counts.d_tower_series(ns.n, ns.genus, primes)
     doc = {
-        "n": n,
-        "genus": genus,
+        "n": ns.n,
+        "genus": ns.genus,
         "series": [
             {"q": d.q, "vol": d.vol_proxy, "b1": d.b1_proxy, "cusps": d.cusp_proxy}
             for d in series
@@ -344,30 +313,17 @@ def _congruence_dtower(config: RunConfig) -> Rendered:
     return doc, (["q", "vol", "b1", "cusps"], rows)
 
 
-_HANDLERS: dict[tuple[str, ...], Callable[[RunConfig], Rendered]] = {
-    ("dm", "check"): _dm_check,
-    ("dm", "contract"): _dm_contract,
-    ("dm", "find-contraction"): _dm_find_contraction,
-    ("dm", "enumerate"): _dm_enumerate,
-    ("tower", "run"): _tower_run,
-    ("tower", "analyze"): _tower_analyze,
-    ("congruence", "orders"): _congruence_orders,
-    ("congruence", "exponents"): _congruence_exponents,
-    ("congruence", "dtower"): _congruence_dtower,
-}
-
-
-def _render(config: RunConfig, rendered: Rendered) -> str:
+def _render(ns: argparse.Namespace, rendered: Rendered) -> str:
     doc, view = rendered
-    if config.fmt == "json":
+    if ns.format == "json":
         return dumps_canonical(doc)
     if isinstance(view, str):
-        if config.fmt == "csv":
+        if ns.format == "csv":
             raise ValidationError(
-                f"csv output is not defined for `{' '.join(config.command)}`"
+                f"csv output is not defined for `{ns.command} {ns.subcommand}`"
             )
         return view
-    return (_render_table if config.fmt == "table" else _render_csv)(*view)
+    return (_render_table if ns.format == "table" else _render_csv)(*view)
 
 
 @contextmanager
@@ -389,11 +345,11 @@ def _any_int_digits():
             sys.set_int_max_str_digits(limit)
 
 
-def _emit(config: RunConfig, rendered: Rendered) -> None:
+def _emit(ns: argparse.Namespace, rendered: Rendered) -> None:
     with _any_int_digits():
-        text = _render(config, rendered)
-    if config.out:
-        _write(config.out, text)
+        text = _render(ns, rendered)
+    if ns.out:
+        _write(ns.out, text)
     else:
         sys.stdout.write(text)
 
@@ -403,24 +359,6 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot write {path!r}: {exc}") from exc
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a resolved configuration; returns the process exit code."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        _error_record("validation", f"unknown command {' '.join(config.command)!r}")
-        return 2
-    try:
-        rendered = handler(config)
-        _emit(config, rendered)
-        return 0
-    except ResourceLimitError as exc:
-        _error_record("resource", str(exc), space=exc.space, cap=exc.cap)
-        return 3
-    except ValidationError as exc:
-        _error_record("validation", str(exc))
-        return 2
 
 
 def _error_record(kind: str, message: str, **extra: Any) -> None:
@@ -450,7 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "the largest --prime-max for congruence exponents and "
                              "dtower, the bits of the largest deck-group order for tower "
                              "run A/B and tower analyze, the largest --depth for tower "
-                             "run C")
+                             "run C, and the bits of a formula order for congruence "
+                             "orders")
     common.add_argument("--out", default=None, help="write output to this file")
 
     parser = _Parser(
@@ -464,23 +403,28 @@ def _build_parser() -> argparse.ArgumentParser:
     dm_sub = dm.add_subparsers(dest="subcommand", required=True)
     p = dm_sub.add_parser("check", parents=[common],
                           help="classify a tuple as INT / HALF_INT / FAIL")
+    p.set_defaults(handler=_dm_check)
     p.add_argument("--tuple", required=True, help="comma-separated rationals, e.g. 2/6,2/6,3/6,4/6,1/6")
     p = dm_sub.add_parser("contract", parents=[common], help="contract along a partition")
+    p.set_defaults(handler=_dm_contract)
     p.add_argument("--tuple", required=True)
     p.add_argument("--blocks", required=True,
                    help="partition blocks as 0-based indices, e.g. '0,1|2|3|4'")
     p = dm_sub.add_parser("find-contraction", parents=[common],
                           help="search for a partition contracting one tuple onto another")
+    p.set_defaults(handler=_dm_find_contraction)
     p.add_argument("--tuple", required=True)
     p.add_argument("--target", required=True)
     p = dm_sub.add_parser("enumerate", parents=[common],
                           help="enumerate all INT / HALF_INT tuples with bounded denominator")
+    p.set_defaults(handler=_dm_enumerate)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--max-denominator", type=int, required=True)
 
     tower = top.add_parser("tower", help="covering-tower reports")
     tower_sub = tower.add_subparsers(dest="subcommand", required=True)
     p = tower_sub.add_parser("run", parents=[common], help="analyze a built-in family")
+    p.set_defaults(handler=_tower_run)
     p.add_argument("--family", required=True, help="A, B, or C")
     p.add_argument("--prime", type=int, help="prime p for families A and B")
     p.add_argument("--depth", type=int, required=True, help="number of levels")
@@ -490,11 +434,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also write the generated tower spec JSON to this path")
     p = tower_sub.add_parser("analyze", parents=[common],
                              help="analyze a tower spec from JSON ('-' reads stdin)")
+    p.set_defaults(handler=_tower_analyze)
     p.add_argument("--spec", required=True)
 
     cong = top.add_parser("congruence", help="group orders and growth exponents")
     cong_sub = cong.add_subparsers(dest="subcommand", required=True)
     p = cong_sub.add_parser("orders", parents=[common], help="one classical group order")
+    p.set_defaults(handler=_congruence_orders)
     p.add_argument("--family", required=True,
                    help="SL2_ZN, SL, U, SU, or UNITRIANGULAR_U")
     p.add_argument("--m", type=int, required=True)
@@ -503,6 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["formula", "brute", "both"], default="formula")
     p = cong_sub.add_parser("exponents", parents=[common],
                             help="fit growth exponents over a prime range")
+    p.set_defaults(handler=_congruence_exponents)
     p.add_argument("--n", type=int, required=True, help="2 or 3")
     p.add_argument("--genus", type=int, default=2)
     p.add_argument("--prime-min", type=int, required=True)
@@ -511,6 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the per-check match tolerance")
     p = cong_sub.add_parser("dtower", parents=[common],
                             help="emit the per-prime (q, vol, b1, cusps) series")
+    p.set_defaults(handler=_congruence_dtower)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--genus", type=int, default=2)
     p.add_argument("--prime-min", type=int, required=True)
@@ -519,25 +467,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    reserved = {"command", "subcommand", "format", "cap", "out"}
-    params = {k: v for k, v in vars(ns).items() if k not in reserved and v is not None}
-    return RunConfig(
-        command=(ns.command, ns.subcommand),
-        params=params,
-        fmt=ns.format,
-        cap=ns.cap,
-        out=ns.out,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Parse `argv`, run its handler and emit the output; returns the
+    process exit code."""
     try:
-        config = config_from_args(_build_parser().parse_args(argv))
+        ns = _build_parser().parse_args(argv)
+        if ns.cap is not None and ns.cap < 1:
+            raise ValidationError("resource caps must be positive")
+        _emit(ns, ns.handler(ns))
+        return 0
+    except ResourceLimitError as exc:
+        _error_record("resource", str(exc), space=exc.space, cap=exc.cap)
+        return 3
     except ValidationError as exc:
         _error_record("validation", str(exc))
         return 2
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -19,13 +19,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
 from math import gcd, isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InexactDivisionError, ResourceLimitError, ValidationError
 from .gf import PrimePowerField, field
 
 #: Refuse brute-force searches whose raw matrix space exceeds this.
 DEFAULT_BRUTE_CAP = 1 << 28
+
+#: Refuse formula orders with more bits than this.  The largest orders
+#: it admits, SL_632(F_3) and U_632(F_3) of about 634,000 bits, take
+#: about 1.1 s to build and print in a fresh CLI process.
+DEFAULT_ORDER_BITS_CAP = 200_000
 
 #: Refuse prime ranges reaching past this.  The sieve holds one byte
 #: per integer of the range, but the cost that binds is downstream: the
@@ -177,25 +182,21 @@ def _psl2_count(n: int, sl2: int) -> int:
     return _exact_ratio(sl2, center, "psl2_order")
 
 
-def _check_matrix_field(m: int, q: int) -> None:
-    if m < 2:
-        raise ValidationError(f"matrix size must be >= 2, got {m}")
-    prime_power_base(q)
-
-
 def sl_order(m: int, q: int) -> GroupOrder:
     """|SL_m(F_q)| = q^(m(m-1)/2) * prod_(i=2..m) (q^i - 1)."""
-    _check_matrix_field(m, q)
+    return _field_order(GroupFamily.SL, m, q)
+
+
+def _sl_count(m: int, q: int) -> int:
     order = q ** (m * (m - 1) // 2)
     for i in range(2, m + 1):
         order *= q**i - 1
-    return GroupOrder(GroupFamily.SL, m, q, order, Method.FORMULA)
+    return order
 
 
 def u_order(m: int, q: int) -> GroupOrder:
     """|U_m(F_q)| = q^(m(m-1)/2) * prod_(i=1..m) (q^i - (-1)^i)."""
-    _check_matrix_field(m, q)
-    return GroupOrder(GroupFamily.U, m, q, _u_count(m, q), Method.FORMULA)
+    return _field_order(GroupFamily.U, m, q)
 
 
 def _u_count(m: int, q: int) -> int:
@@ -207,8 +208,7 @@ def _u_count(m: int, q: int) -> int:
 
 def su_order(m: int, q: int) -> GroupOrder:
     """|SU_m(F_q)| = |U_m(F_q)| / (q + 1)."""
-    _check_matrix_field(m, q)
-    return GroupOrder(GroupFamily.SU, m, q, _su_count(m, q), Method.FORMULA)
+    return _field_order(GroupFamily.SU, m, q)
 
 
 def _su_count(m: int, q: int) -> int:
@@ -217,26 +217,55 @@ def _su_count(m: int, q: int) -> int:
 
 def unitriangular_u_order(m: int, q: int) -> GroupOrder:
     """Order q^(m(m-1)/2) of the upper unitriangular subgroup of U_m(F_q)."""
-    _check_matrix_field(m, q)
-    return GroupOrder(
-        GroupFamily.UNITRIANGULAR_U, m, q, q ** (m * (m - 1) // 2), Method.FORMULA
-    )
+    return _field_order(GroupFamily.UNITRIANGULAR_U, m, q)
 
 
-def order_formula(family: GroupFamily, m: int, q: int) -> GroupOrder:
+_FIELD_COUNTS = {
+    GroupFamily.SL: _sl_count,
+    GroupFamily.U: _u_count,
+    GroupFamily.SU: _su_count,
+    GroupFamily.UNITRIANGULAR_U: lambda m, q: q ** (m * (m - 1) // 2),
+}
+
+
+def _field_order(
+    family: GroupFamily, m: int, q: int, cap: Optional[int] = None
+) -> GroupOrder:
+    """The formula order of a field family, refused past `cap` bits.
+
+    q^(m(m-1)/2), the unitriangular order, divides the order of every
+    field family (of SU too, as gcd(q, q + 1) = 1), so the order has at
+    least m(m-1)/2 * (bits(q) - 1) + 1 bits; the refusal rests on that
+    bound and comes before any product is built.
+    """
+    if m < 2:
+        raise ValidationError(f"matrix size must be >= 2, got {m}")
+    prime_power_base(q)
+    bits = m * (m - 1) // 2 * (q.bit_length() - 1) + 1
+    if cap is not None and bits > cap:
+        raise ResourceLimitError(
+            f"the order has at least {bits} bits, above the cap of {cap} bits",
+            bits,
+            cap,
+        )
+    return GroupOrder(family, m, q, _FIELD_COUNTS[family](m, q), Method.FORMULA)
+
+
+def order_formula(
+    family: GroupFamily, m: int, q: int, cap: int = DEFAULT_ORDER_BITS_CAP
+) -> GroupOrder:
+    """Exact order by its closed form.
+
+    Refuses a field-family order with more than `cap` bits; the SL2_ZN
+    order is below N^3 and has no cap.
+    """
     if family is GroupFamily.SL2_ZN:
         if m != 2:
             raise ValidationError("SL2_ZN is only defined for m = 2")
         return sl2_order(q)
-    if family is GroupFamily.SL:
-        return sl_order(m, q)
-    if family is GroupFamily.U:
-        return u_order(m, q)
-    if family is GroupFamily.SU:
-        return su_order(m, q)
-    if family is GroupFamily.UNITRIANGULAR_U:
-        return unitriangular_u_order(m, q)
-    raise ValidationError(f"unknown family {family!r}")
+    if family not in _FIELD_COUNTS:
+        raise ValidationError(f"unknown family {family!r}")
+    return _field_order(family, m, q, cap)
 
 
 # ---------------------------------------------------------------------------

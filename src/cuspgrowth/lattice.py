@@ -76,18 +76,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)), cols)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
-        n = len(values)
-        return cls(
-            tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n)),
-            n,
-        )
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -301,10 +289,6 @@ class FiniteAbelianGroup:
                     f"divide {b} (use from_cyclic_factors to normalize)"
                 )
         object.__setattr__(self, "invariant_factors", tuple(kept))
-
-    @classmethod
-    def trivial(cls) -> "FiniteAbelianGroup":
-        return cls(())
 
     @classmethod
     def from_cyclic_factors(cls, moduli: Iterable[int]) -> "FiniteAbelianGroup":

@@ -308,14 +308,7 @@ def build_a_tower(p: int, depth: int) -> TowerSpec:
     The images are compatible with the reduction maps Z/p^(j+1) -> Z/p^j,
     so consecutive levels form a tower of covers.
     """
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    if depth < 1:
-        raise ValidationError(f"depth must be >= 1, got {depth}")
-    levels = tuple(
-        AbelianHom.cyclic(p**j, (1, 0, 0, 0)) for j in range(1, depth + 1)
-    )
-    return TowerSpec(HIRZEBRUCH, levels)
+    return _prime_power_tower(p, depth, (1, 0, 0, 0))
 
 
 def build_b_tower(p: int, depth: int) -> TowerSpec:
@@ -326,19 +319,23 @@ def build_b_tower(p: int, depth: int) -> TowerSpec:
     proper subgroup generated by 2, its cusp splits, and the constant
     cusp count 4 is lost.
     """
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
     if p == 2:
         raise ValidationError(
             "the B tower requires an odd prime: for p = 2 the diagonal "
             "boundary curve C1 no longer surjects onto the deck group and "
             "its cusp splits (total becomes 5, not 4)"
         )
+    return _prime_power_tower(p, depth, (1, 1, 1, 1))
+
+
+def _prime_power_tower(p: int, depth: int, images: tuple[int, ...]) -> TowerSpec:
+    """Levels Z/p^j, j = 1..depth, over `HIRZEBRUCH`, each sending v_i to
+    images[i] times a generator."""
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-    levels = tuple(
-        AbelianHom.cyclic(p**j, (1, 1, 1, 1)) for j in range(1, depth + 1)
-    )
+    levels = tuple(AbelianHom.cyclic(p**j, images) for j in range(1, depth + 1))
     return TowerSpec(HIRZEBRUCH, levels)
 
 

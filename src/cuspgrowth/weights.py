@@ -91,11 +91,6 @@ class WeightTuple:
         parts = [p for p in text.split(",") if p.strip()]
         return cls(tuple(parse_fraction(p) for p in parts))
 
-    @property
-    def ambient_dimension(self) -> int:
-        """n for a tuple of length n + 3."""
-        return len(self.weights) - 3
-
     def sorted(self) -> "WeightTuple":
         """Canonical form: weights in ascending order."""
         return WeightTuple(tuple(sorted(self.weights)))
@@ -228,14 +223,6 @@ class ContractionPartition:
 
     def block_sums(self, mu: WeightTuple) -> tuple[Fraction, ...]:
         return tuple(sum(mu[i] for i in block) for block in self.blocks)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
-
-    @classmethod
-    def identity(cls, k: int) -> "ContractionPartition":
-        return cls(tuple((i,) for i in range(k)))
 
     def validate_for(self, mu: WeightTuple) -> None:
         """Check this partition is admissible for `mu`.

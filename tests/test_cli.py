@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -9,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspgrowth import sl_order
-from cuspgrowth.cli import RunConfig, main, run
-from cuspgrowth.errors import ValidationError
+from cuspgrowth import counts, sl_order
+from cuspgrowth.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -374,6 +374,33 @@ class TestCongruenceCommands:
         )
         assert code == 3
 
+    def test_formula_order_past_the_bit_cap_exits_3_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "congruence", "orders", "--family", "SU",
+                                 "--m", "3000", "--q", "2", "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        record = resource_record(code, out, err)
+        # The unitriangular factor 2^(3000 * 2999 / 2) bounds the bits.
+        assert (record["space"], record["cap"]) == (
+            3000 * 2999 // 2 + 1, counts.DEFAULT_ORDER_BITS_CAP)
+
+    def test_cap_admits_a_formula_order_the_default_refuses(self, capsys):
+        bits = 633 * 632 // 2 + 1  # of 2^(633 * 632 / 2), exactly the bound
+        argv = ["congruence", "orders", "--family", "UNITRIANGULAR_U",
+                "--m", "633", "--q", "2", "--format", "csv"]
+        assert resource_record(*run_cli(capsys, *argv))["space"] == bits
+        code, out, err = run_cli(capsys, *argv, "--cap", str(bits))
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].split(",")[-1] == decimal(2 ** (bits - 1))
+
+    def test_cap_bounds_formula_and_brute_force_alike(self, capsys):
+        # SL_3(F_2): formula bound 4 bits, raw brute-force space 2^9.
+        argv = ["congruence", "orders", "--family", "SL", "--m", "3", "--q", "2",
+                "--method", "both", "--cap"]
+        assert run_cli(capsys, *argv, "512")[0] == 0
+        assert resource_record(*run_cli(capsys, *argv, "3"))["space"] == 4
+        assert resource_record(*run_cli(capsys, *argv, "511"))["space"] == 512
+
     def test_orders_unfactorable_q_exits_3(self, capsys):
         code, out, err = run_cli(
             capsys, "congruence", "orders", "--family", "SL", "--m", "2",
@@ -464,22 +491,6 @@ class TestCongruenceCommands:
         assert validation_message(code, err) == "need at least 2 primes in [50, 5], got 0"
 
 
-class TestRunConfig:
-    def test_bad_format_rejected(self):
-        with pytest.raises(ValidationError):
-            RunConfig(command=("dm", "check"), fmt="xml")
-
-    def test_nonpositive_cap_rejected(self):
-        with pytest.raises(ValidationError):
-            RunConfig(command=("dm", "check"), cap=0)
-
-    def test_unknown_command(self, capsys):
-        code = run(RunConfig(command=("no", "such")))
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "unknown command" in json.loads(captured.err)["error"]["message"]
-
-
 class TestSubprocess:
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -539,6 +550,13 @@ class TestParseErrors:
         )
         assert out == ""
         assert "tolerance must be positive and finite" in validation_message(code, err)
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_nonpositive_cap_exits_2(self, capsys, cap):
+        code, out, err = run_cli(capsys, "dm", "check", "--tuple", "1/2,1/2,1/2,1/2",
+                                 "--cap", cap)
+        assert out == ""
+        assert validation_message(code, err) == "resource caps must be positive"
 
     def test_parser_is_built_once_and_not_on_import(self):
         code = (

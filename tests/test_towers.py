@@ -27,7 +27,7 @@ from math import gcd
 
 
 def trivial_hom():
-    return AbelianHom(FiniteAbelianGroup(()), IntMatrix.zeros(0, 4))
+    return AbelianHom(FiniteAbelianGroup(()), IntMatrix((), 4))
 
 
 class TestBuiltInBase:

@@ -28,7 +28,7 @@ NU4 = WeightTuple.parse("1/6,3/6,4/6,4/6")
 class TestWeightTuple:
     def test_parse_and_values(self):
         assert MU5.weights == (F(1, 3), F(1, 3), F(1, 2), F(2, 3), F(1, 6))
-        assert MU5.ambient_dimension == 2
+        assert len(MU5) == 5
 
     def test_too_short(self):
         with pytest.raises(ValidationError, match="length"):
@@ -107,7 +107,7 @@ class TestContract:
         assert contract(MU5, partition).weights == NU4.sorted().weights
 
     def test_identity_partition(self):
-        partition = ContractionPartition.identity(len(MU5))
+        partition = ContractionPartition(tuple((i,) for i in range(len(MU5))))
         assert contract(MU5, partition).weights == MU5.sorted().weights
 
     def test_six_tuple_two_blocks(self):
@@ -138,7 +138,7 @@ class TestFindContraction:
     def test_identity(self):
         partition = find_contraction(MU5, MU5)
         assert partition is not None
-        assert partition.is_identity
+        assert partition.blocks == ((0,), (1,), (2,), (3,), (4,))
 
     def test_no_partition_exists(self):
         nu = WeightTuple.parse("1/2,1/2,1/2,1/2")
@@ -190,7 +190,7 @@ class TestFindContraction:
         mu = WeightTuple((F(1, 500),) * 1000)
         partition = find_contraction(mu, WeightTuple((F(1, 2),) * 4))
         assert [len(b) for b in partition.blocks] == [250] * 4
-        assert find_contraction(mu, mu).is_identity
+        assert find_contraction(mu, mu).blocks == tuple((i,) for i in range(1000))
 
     def test_node_cap(self):
         mu = WeightTuple((F(1, 6),) * 12)
