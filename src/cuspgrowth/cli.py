@@ -43,16 +43,11 @@ from .serialize import (
     weights_to_json,
 )
 from .towers import (
-    DEFAULT_C_DEPTH_CAP,
-    DEFAULT_DECK_BITS_CAP,
     TowerReport,
     analyze_tower,
     build_a_tower,
     build_b_tower,
     c_tower_report,
-    check_c_size,
-    check_family_size,
-    check_spec_size,
 )
 from .weights import ContractionPartition, WeightTuple
 
@@ -112,6 +107,12 @@ Table = tuple[list[str], list[list[Any]]]
 Rendered = tuple[dict, Union[str, Table]]
 
 
+def _cap(ns: argparse.Namespace) -> dict[str, int]:
+    """`--cap` as the keyword of a guarded library call; without it the
+    call keeps its own default."""
+    return {} if ns.cap is None else {"cap": ns.cap}
+
+
 def _dm_check(ns: argparse.Namespace) -> Rendered:
     mu = WeightTuple.parse(ns.tuple)
     status = weights.check_int(mu)
@@ -145,8 +146,7 @@ def _dm_contract(ns: argparse.Namespace) -> Rendered:
 def _dm_find_contraction(ns: argparse.Namespace) -> Rendered:
     mu = WeightTuple.parse(ns.tuple)
     nu = WeightTuple.parse(ns.target)
-    cap = ns.cap if ns.cap is not None else weights.DEFAULT_CONTRACTION_CAP
-    partition = weights.find_contraction(mu, nu, cap=cap)
+    partition = weights.find_contraction(mu, nu, **_cap(ns))
     if partition is None:
         doc = {"found": False, "source": weights_to_json(mu), "target": weights_to_json(nu)}
         return doc, "no admissible contraction\n"
@@ -162,8 +162,7 @@ def _dm_find_contraction(ns: argparse.Namespace) -> Rendered:
 
 
 def _dm_enumerate(ns: argparse.Namespace) -> Rendered:
-    cap = ns.cap if ns.cap is not None else weights.DEFAULT_ENUMERATION_CAP
-    found = weights.enumerate_tuples(ns.length, ns.max_denominator, cap=cap)
+    found = weights.enumerate_tuples(ns.length, ns.max_denominator, **_cap(ns))
     doc = {
         "length": ns.length,
         "max_denominator": ns.max_denominator,
@@ -203,9 +202,8 @@ def _tower_run(ns: argparse.Namespace) -> Rendered:
     if family == "C":
         if ns.genus is None or ns.divisors is None:
             raise ValidationError("family C needs --genus and --divisors")
-        check_c_size(ns.depth, ns.cap if ns.cap is not None else DEFAULT_C_DEPTH_CAP)
         divisors = _parse_int_list(ns.divisors, "divisors")
-        levels = c_tower_report(ns.genus, divisors, ns.depth)
+        levels = c_tower_report(ns.genus, divisors, ns.depth, **_cap(ns))
         rows = [[lv.level, lv.degree, lv.b1_surface, lv.total_cusps] for lv in levels]
         return (c_tower_report_to_json(levels),
                 (["level", "degree", "b1_surface", "total_cusps"], rows))
@@ -217,9 +215,7 @@ def _tower_run(ns: argparse.Namespace) -> Rendered:
         build = build_b_tower
     else:
         raise ValidationError(f"unknown family {family!r}; expected A, B, or C")
-    check_family_size(ns.prime, ns.depth,
-                      ns.cap if ns.cap is not None else DEFAULT_DECK_BITS_CAP)
-    spec = build(ns.prime, ns.depth)
+    spec = build(ns.prime, ns.depth, **_cap(ns))
     if ns.emit_spec:
         with _any_int_digits():
             _write(ns.emit_spec, dumps_canonical(tower_spec_to_json(spec)))
@@ -239,9 +235,7 @@ def _tower_analyze(ns: argparse.Namespace) -> Rendered:
         raise ValidationError(f"cannot read tower spec {path!r}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, undecodable bytes, overlong ints
         raise ValidationError(f"malformed tower spec JSON in {path!r}: {exc}") from exc
-    spec = tower_spec_from_json(data)
-    check_spec_size(spec, ns.cap if ns.cap is not None else DEFAULT_DECK_BITS_CAP)
-    report = analyze_tower(spec)
+    report = analyze_tower(tower_spec_from_json(data, **_cap(ns)))
     return tower_report_to_json(report), _tower_table(report)
 
 
@@ -255,11 +249,9 @@ def _congruence_orders(ns: argparse.Namespace) -> Rendered:
     m, q = ns.m, ns.q
     results = []
     if ns.method in ("formula", "both"):
-        cap = ns.cap if ns.cap is not None else counts.DEFAULT_ORDER_BITS_CAP
-        results.append(counts.order_formula(family, m, q, cap=cap))
+        results.append(counts.order_formula(family, m, q, **_cap(ns)))
     if ns.method in ("brute", "both"):
-        cap = ns.cap if ns.cap is not None else counts.DEFAULT_BRUTE_CAP
-        results.append(counts.brute_force_order(family, m, q, cap=cap))
+        results.append(counts.brute_force_order(family, m, q, **_cap(ns)))
     doc: dict[str, Any] = {
         "family": family.value,
         "m": m,
@@ -274,8 +266,7 @@ def _congruence_orders(ns: argparse.Namespace) -> Rendered:
 
 def _congruence_exponents(ns: argparse.Namespace) -> Rendered:
     lo, hi = ns.prime_min, ns.prime_max
-    cap = ns.cap if ns.cap is not None else counts.DEFAULT_PRIME_CAP
-    primes = counts.primes_in_range(lo, hi, cap=cap)
+    primes = counts.primes_in_range(lo, hi, **_cap(ns))
     if len(primes) < 2:
         raise ValidationError(f"need at least 2 primes in [{lo}, {hi}], got {len(primes)}")
     records = exponent_checks(ns.n, ns.genus, primes, ns.tolerance)
@@ -296,8 +287,7 @@ def _congruence_exponents(ns: argparse.Namespace) -> Rendered:
 
 def _congruence_dtower(ns: argparse.Namespace) -> Rendered:
     lo, hi = ns.prime_min, ns.prime_max
-    cap = ns.cap if ns.cap is not None else counts.DEFAULT_PRIME_CAP
-    primes = counts.primes_in_range(lo, hi, cap=cap)
+    primes = counts.primes_in_range(lo, hi, **_cap(ns))
     if not primes:
         raise ValidationError(f"no primes in [{lo}, {hi}]")
     series = counts.d_tower_series(ns.n, ns.genus, primes)

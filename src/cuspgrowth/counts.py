@@ -27,6 +27,11 @@ from .gf import PrimePowerField, field
 #: Refuse brute-force searches whose raw matrix space exceeds this.
 DEFAULT_BRUTE_CAP = 1 << 28
 
+#: A brute-force refusal reports the raw space exactly up to this many
+#: bits: 2^14284 < 10^4300, the interpreter's default limit on the
+#: digits of an int printed in decimal.
+_EXACT_SPACE_BITS = 14_284
+
 #: Refuse formula orders with more bits than this.  The largest orders
 #: it admits, SL_632(F_3) and U_632(F_3) of about 634,000 bits, take
 #: about 1.1 s to build and print in a fresh CLI process.
@@ -442,8 +447,12 @@ def brute_force_order(
 ) -> GroupOrder:
     """Exact order by enumeration; the independent oracle for the formulas.
 
-    Refuses when the raw matrix space, q^(m^2) over the ground field
-    (q^2 in the unitary cases, the modulus N for SL2_ZN), exceeds `cap`.
+    Refuses when the raw space of candidate matrices, q^(m^2) over the
+    ground field ((q^2)^(m^2) in the unitary cases, N^4 for SL2_ZN),
+    holds more than `cap` of them.  The refusal reports that count when
+    it has at most `_EXACT_SPACE_BITS` bits.  A larger space is not
+    built when its lower bound on bits already settles the refusal, and
+    the refusal then reports 2^bits(cap), a count the space reaches.
     """
     if cap < 1:
         raise ValidationError("cap must be positive")
@@ -453,41 +462,36 @@ def brute_force_order(
             raise ValidationError("SL2_ZN is only defined for m = 2")
         if q < 2:
             raise ValidationError(f"modulus must be >= 2, got {q}")
-        space = q**4
-        if space > cap:
-            raise ResourceLimitError(
-                f"raw search space {space} exceeds the cap {cap}", space=space, cap=cap
-            )
-        n = q
-        # For each (a, b, c), a*d = 1 + b*c (mod n) is linear in d: it has
-        # gcd(a, n) solutions when that gcd divides 1 + b*c, else none.
-        count = 0
-        for a in range(n):
-            g = gcd(a, n)
-            count += g * sum(1 for b in range(n) for c in range(n) if (1 + b * c) % g == 0)
-        return GroupOrder(family, 2, n, count, Method.BRUTE_FORCE)
-
-    if m < 2:
-        raise ValidationError(f"matrix size must be >= 2, got {m}")
-    p, e = prime_power_base(q)
-    if family is GroupFamily.SL:
-        space = q ** (m * m)
-        if space > cap:
-            raise ResourceLimitError(
-                f"raw search space {space} exceeds the cap {cap}", space=space, cap=cap
-            )
-        count = _count_sl(field(p, e), m)
-        return GroupOrder(family, m, q, count, Method.BRUTE_FORCE)
-
-    space = (q * q) ** (m * m)
-    if space > cap:
+        base, exponent = q, 4
+    else:
+        if m < 2:
+            raise ValidationError(f"matrix size must be >= 2, got {m}")
+        p, e = prime_power_base(q)
+        base, exponent = (q if family is GroupFamily.SL else q * q), m * m
+    lower = exponent * (base.bit_length() - 1) + 1  # bits of base**exponent, at least
+    space = base**exponent if lower <= max(cap.bit_length(), _EXACT_SPACE_BITS) else None
+    if space is None or space > cap:
+        exact = space is not None and space.bit_length() <= _EXACT_SPACE_BITS
+        if not exact:
+            space = 1 << cap.bit_length()
         raise ResourceLimitError(
-            f"raw search space {space} exceeds the cap {cap}", space=space, cap=cap
+            f"raw search space {'' if exact else 'of at least '}{space} "
+            f"exceeds the cap {cap}",
+            space=space,
+            cap=cap,
         )
-    f2 = field(p, 2 * e)
-    det_one = family is GroupFamily.SU
-    unitriangular = family is GroupFamily.UNITRIANGULAR_U
-    count = _count_unitary(f2, m, q, det_one, unitriangular)
+    if family is GroupFamily.SL2_ZN:
+        # For each (a, b, c), a*d = 1 + b*c (mod q) is linear in d: it has
+        # gcd(a, q) solutions when that gcd divides 1 + b*c, else none.
+        count = 0
+        for a in range(q):
+            g = gcd(a, q)
+            count += g * sum(1 for b in range(q) for c in range(q) if (1 + b * c) % g == 0)
+    elif family is GroupFamily.SL:
+        count = _count_sl(field(p, e), m)
+    else:
+        count = _count_unitary(field(p, 2 * e), m, q, family is GroupFamily.SU,
+                               family is GroupFamily.UNITRIANGULAR_U)
     return GroupOrder(family, m, q, count, Method.BRUTE_FORCE)
 
 

@@ -69,20 +69,9 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     for deg in range(1, n // 2 + 1):
         for code in range(p**deg):
             divisor = _poly_from_code(code, p, deg) + (1,)
-            if _poly_divides(divisor, modulus, p):
+            if not any(_poly_mod(list(modulus), divisor, p)):
                 return False
     return True
-
-
-def _poly_divides(divisor: tuple[int, ...], poly: tuple[int, ...], p: int) -> bool:
-    rem = list(poly)
-    d = len(divisor) - 1
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i] % p
-        if c:
-            for j in range(d + 1):
-                rem[i - d + j] = (rem[i - d + j] - c * divisor[j]) % p
-    return all(x % p == 0 for x in rem[:d])
 
 
 class PrimePowerField:
@@ -116,13 +105,8 @@ class PrimePowerField:
                 code = _code_from_poly(_poly_mod(prod, modulus, p), p)
                 self._mul[a][b] = code
                 self._mul[b][a] = code
-        self._inv = [0] * size
-        for a in range(1, size):
-            row = self._mul[a]
-            for b in range(1, size):
-                if row[b] == 1:
-                    self._inv[a] = b
-                    break
+        # a^(size - 1) = 1 for every a != 0 in the multiplicative group.
+        self._inv = [0] + [self.pow(a, size - 2) for a in range(1, size)]
 
     @staticmethod
     def _least_irreducible(p: int, n: int) -> tuple[int, ...]:

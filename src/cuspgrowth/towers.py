@@ -264,60 +264,24 @@ def analyze_tower(spec: TowerSpec) -> TowerReport:
     return TowerReport(tuple(analyze_level(spec.base, rho) for rho in spec.levels))
 
 
-def check_family_size(p: int, depth: int, cap: int) -> None:
-    """Refuse an A or B tower whose top deck group Z/p^depth has an
-    order of more than `cap` bits, before any level is built.
-
-    p^depth has at least depth * (b - 1) + 1 bits, for b the bit length
-    of p.  When that bound is already above the cap, it is what the
-    refusal reports, and p^depth is never computed.  Arguments the
-    builders reject (p < 2, depth < 1) are left to them.
-    """
-    if p < 2 or depth < 1:
-        return
-    bits = depth * (p.bit_length() - 1) + 1
-    if bits <= cap:
-        bits = (p**depth).bit_length()
-    if bits > cap:
-        raise ResourceLimitError(
-            f"the top deck group Z/{p}^{depth} has an order of at least {bits} "
-            f"bits, above the cap of {cap} bits",
-            bits,
-            cap,
-        )
-
-
-def check_spec_size(spec: TowerSpec, cap: int) -> None:
-    """Refuse a spec with a level whose deck-group order has more than
-    `cap` bits."""
-    for idx, rho in enumerate(spec.levels):
-        bits = rho.target.order.bit_length()
-        if bits > cap:
-            raise ResourceLimitError(
-                f"levels[{idx}]: the deck group has an order of {bits} bits, "
-                f"above the cap of {cap} bits",
-                bits,
-                cap,
-            )
-
-
-def build_a_tower(p: int, depth: int) -> TowerSpec:
+def build_a_tower(p: int, depth: int, cap: int = DEFAULT_DECK_BITS_CAP) -> TowerSpec:
     """The tower sending v1 to a deck-group generator and v2, v3, v4 to 0,
     with deck groups Z/p^j for j = 1..depth.
 
     The images are compatible with the reduction maps Z/p^(j+1) -> Z/p^j,
-    so consecutive levels form a tower of covers.
+    so consecutive levels form a tower of covers.  Refused when p^depth
+    has more than `cap` bits.
     """
-    return _prime_power_tower(p, depth, (1, 0, 0, 0))
+    return _prime_power_tower(p, depth, (1, 0, 0, 0), cap)
 
 
-def build_b_tower(p: int, depth: int) -> TowerSpec:
+def build_b_tower(p: int, depth: int, cap: int = DEFAULT_DECK_BITS_CAP) -> TowerSpec:
     """The tower sending every v_i to the same deck-group generator,
     with deck groups Z/p^j for j = 1..depth.
 
     Requires p odd: modulo 2 the diagonal boundary curve maps into the
     proper subgroup generated by 2, its cusp splits, and the constant
-    cusp count 4 is lost.
+    cusp count 4 is lost.  Refused when p^depth has more than `cap` bits.
     """
     if p == 2:
         raise ValidationError(
@@ -325,26 +289,38 @@ def build_b_tower(p: int, depth: int) -> TowerSpec:
             "boundary curve C1 no longer surjects onto the deck group and "
             "its cusp splits (total becomes 5, not 4)"
         )
-    return _prime_power_tower(p, depth, (1, 1, 1, 1))
+    return _prime_power_tower(p, depth, (1, 1, 1, 1), cap)
 
 
-def _prime_power_tower(p: int, depth: int, images: tuple[int, ...]) -> TowerSpec:
+def _prime_power_tower(
+    p: int, depth: int, images: tuple[int, ...], cap: int
+) -> TowerSpec:
     """Levels Z/p^j, j = 1..depth, over `HIRZEBRUCH`, each sending v_i to
-    images[i] times a generator."""
+    images[i] times a generator.
+
+    The top order p^depth has at least depth * (b - 1) + 1 bits, for b
+    the bit length of p.  When that bound is already above `cap`, it is
+    what the refusal reports, and p^depth is never computed.  The size
+    check comes before the primality test, so that a huge p is refused
+    by its size rather than by trial division.
+    """
+    if p >= 2 and depth >= 1:
+        bits = depth * (p.bit_length() - 1) + 1
+        if bits <= cap:
+            bits = (p**depth).bit_length()
+        if bits > cap:
+            raise ResourceLimitError(
+                f"the top deck group Z/{p}^{depth} has an order of at least {bits} "
+                f"bits, above the cap of {cap} bits",
+                bits,
+                cap,
+            )
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
     levels = tuple(AbelianHom.cyclic(p**j, images) for j in range(1, depth + 1))
     return TowerSpec(HIRZEBRUCH, levels)
-
-
-def check_c_size(depth: int, cap: int) -> None:
-    """Refuse a family C tower deeper than `cap` levels."""
-    if depth > cap:
-        raise ResourceLimitError(
-            f"family C depth {depth} is above the cap of {cap} levels", depth, cap
-        )
 
 
 @dataclass(frozen=True)
@@ -358,7 +334,7 @@ class CTowerLevel:
 
 
 def c_tower_report(
-    genus: int, cusp_divisors: Sequence[int], depth: int
+    genus: int, cusp_divisors: Sequence[int], depth: int, cap: int = DEFAULT_C_DEPTH_CAP
 ) -> list[CTowerLevel]:
     """Cyclic covers of a compact genus-g base curve, g >= 2, pulled back
     to a cusped total space.
@@ -367,8 +343,12 @@ def c_tower_report(
     image in Z is d*Z (d = 0 for trivial image).  Level j is the degree-j
     cyclic cover: b1 of the surface is 2 + j*(2g - 2) by multiplicativity
     of the Euler characteristic, and the cusp over divisor d splits into
-    gcd(d, j) cusps, with gcd(0, j) = j.
+    gcd(d, j) cusps, with gcd(0, j) = j.  Refused past `cap` levels.
     """
+    if depth > cap:
+        raise ResourceLimitError(
+            f"family C depth {depth} is above the cap of {cap} levels", depth, cap
+        )
     if genus < 2:
         raise ValidationError(
             f"base curve must be a compact surface of genus >= 2, got genus {genus}"

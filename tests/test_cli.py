@@ -374,6 +374,16 @@ class TestCongruenceCommands:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("family,m,q", [("U", "100", "2"),
+                                            ("SL2_ZN", "2", str(10**1100))])
+    def test_brute_space_past_printable_exits_3_at_once(self, capsys, family, m, q):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "congruence", "orders", "--family", family,
+                                 "--m", m, "--q", q, "--method", "brute")
+        assert time.perf_counter() - start < 1.0
+        record = resource_record(code, out, err)
+        assert (record["space"], record["cap"]) == (1 << 29, 1 << 28)
+
     def test_formula_order_past_the_bit_cap_exits_3_at_once(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "congruence", "orders", "--family", "SU",
@@ -590,8 +600,12 @@ COMMAND_FLAGS = {
     ("congruence", "dtower"): ["--n", "--genus", "--prime-min", "--prime-max"],
     (): [], ("dm",): [], ("tower",): [], ("bogus",): [], ("dm", "bogus"): [],
 }
+#: A level of deck group (Z/2)^400, past the rank bound of spec levels.
+RANK400_SPEC = str(Path(__file__).parent / "golden" / "rank400_spec.json")
 #: Values for each flag, valid ones kept small so that an accepted run
-#: stays cheap (a brute-force SL_3(F_4) is the largest).
+#: stays cheap (a brute-force SL_3(F_4) is the largest), and some at the
+#: scale of a refusal: m = 100, a 1,100-digit q, depth 10^7 and the
+#: rank-400 spec.
 VALUES = {
     "--format": ["json", "csv", "table"],
     "--cap": ["1", "100", "100000"],
@@ -603,12 +617,12 @@ VALUES = {
     "--max-denominator": ["3", "6", "0"],
     "--family": ["A", "B", "C", "d", "SL", "SU", "U", "SL2_ZN", "UNITRIANGULAR_U"],
     "--prime": ["2", "3", "5", "4", "0"],
-    "--depth": ["1", "3", "0"],
+    "--depth": ["1", "3", "0", "10000000"],
     "--genus": ["0", "2"],
     "--divisors": ["0", "0,2", "0,x"],
-    "--spec": [SPEC, "no-such-spec.json"],
-    "--m": ["1", "2", "3", "0"],
-    "--q": ["2", "3", "4", "6", "1"],
+    "--spec": [SPEC, "no-such-spec.json", RANK400_SPEC],
+    "--m": ["1", "2", "3", "0", "100"],
+    "--q": ["2", "3", "4", "6", "1", str(10**1099)],
     "--method": ["formula", "brute", "both"],
     "--n": ["2", "3", "1"],
     "--prime-min": ["2", "5"],

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,25 @@ class TestBruteForce:
 
     def test_heisenberg_at_q3(self):
         assert brute_force_order(GroupFamily.UNITRIANGULAR_U, 2, 3).order == 3
+
+    def test_printable_space_is_reported_exactly(self):
+        with pytest.raises(ResourceLimitError) as err:
+            brute_force_order(GroupFamily.SL, 100, 2)  # 2^10000, 3,011 digits
+        assert (err.value.space, err.value.cap) == (2**10000, 1 << 28)
+
+    @pytest.mark.parametrize("family,m,q", [
+        (GroupFamily.U, 100, 2),  # 4^10000, past 4,300 digits
+        (GroupFamily.SL, 100, 3),  # 3^10000 is built (bound 10,001 bits) but has 15,850
+        (GroupFamily.SU, 3000, 2),
+        (GroupFamily.SL2_ZN, 2, 10**1100),
+    ])
+    def test_huge_space_is_refused_by_its_bound(self, family, m, q):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            brute_force_order(family, m, q)
+        assert time.perf_counter() - start < 1.0
+        assert (err.value.space, err.value.cap) == (1 << 29, 1 << 28)
+        assert str(err.value) == f"raw search space of at least {1 << 29} exceeds the cap {1 << 28}"
 
 
 class TestCuspIndexProxy:

@@ -12,7 +12,9 @@ from cuspgrowth import (
     analyze_tower,
     build_a_tower,
 )
+from cuspgrowth.errors import ResourceLimitError
 from cuspgrowth.serialize import (
+    MAX_LEVEL_RANK,
     UNBOUNDED,
     base_from_json,
     base_to_json,
@@ -111,6 +113,36 @@ class TestTowerSpecJson:
             tower_spec_from_json(["not", "an", "object"])
         with pytest.raises(ValidationError):
             tower_spec_from_json({"base": 17, "levels": []})
+
+
+def cyclic_level(moduli):
+    return {"invariant_factors": [str(m) for m in moduli],
+            "images": [["1", "0", "0", "0"] for _ in moduli]}
+
+
+class TestSpecLevelBounds:
+    def test_rank_at_the_bound_is_analyzed(self):
+        spec = tower_spec_from_json({"base": "hirzebruch",
+                                     "levels": [cyclic_level([2] * MAX_LEVEL_RANK)]})
+        assert spec.levels[0].target.invariant_factors == (2,) * MAX_LEVEL_RANK
+
+    def test_rank_past_the_bound_is_refused(self):
+        doc = {"base": "hirzebruch", "levels": [cyclic_level([3]),
+                                                cyclic_level([2] * (MAX_LEVEL_RANK + 1))]}
+        with pytest.raises(ResourceLimitError, match=r"levels\[1\]: .* 65 non-trivial") as info:
+            tower_spec_from_json(doc, cap=10**9)
+        assert (info.value.space, info.value.cap) == (MAX_LEVEL_RANK + 1, MAX_LEVEL_RANK)
+
+    def test_bits_past_the_cap_are_refused_from_the_bound(self):
+        # 7^5 has 15 bits; the bound 5 * (3 - 1) + 1 = 11 is already past 10.
+        doc = {"base": "hirzebruch", "levels": [cyclic_level([7] * 5)]}
+        with pytest.raises(ResourceLimitError, match="at least 11 bits") as info:
+            tower_spec_from_json(doc, cap=10)
+        assert (info.value.space, info.value.cap) == (11, 10)
+        with pytest.raises(ResourceLimitError, match="of 15 bits") as info:
+            tower_spec_from_json(doc, cap=14)
+        assert (info.value.space, info.value.cap) == (15, 14)
+        assert tower_spec_from_json(doc, cap=15).levels[0].target.order == 7**5
 
 
 class TestReportJson:

@@ -22,7 +22,7 @@ from cuspgrowth import (
     smith_normal_form,
 )
 from cuspgrowth.errors import ResourceLimitError
-from cuspgrowth.towers import check_c_size, check_family_size, check_spec_size
+from cuspgrowth.serialize import tower_spec_from_json, tower_spec_to_json
 from math import gcd
 
 
@@ -172,37 +172,38 @@ class TestAnalyzeLevelOracles:
 
 class TestSizeGuards:
     def test_family_bits_exact_at_the_cap(self):
-        check_family_size(2, 99, 100)  # 2^99 has 100 bits
+        build_a_tower(2, 99, cap=100)  # 2^99 has 100 bits
         with pytest.raises(ResourceLimitError) as info:
-            check_family_size(2, 100, 100)
+            build_a_tower(2, 100, cap=100)
         assert (info.value.space, info.value.cap) == (101, 100)
 
     def test_family_bits_exact_when_the_bound_is_under_the_cap(self):
         with pytest.raises(ResourceLimitError) as info:
-            check_family_size(3, 100, 150)  # the bound says 101 bits
+            build_b_tower(3, 100, cap=150)  # the bound says 101 bits
         assert info.value.space == (3**100).bit_length() == 159
 
     def test_huge_depth_is_refused_from_the_bound(self):
         with pytest.raises(ResourceLimitError) as info:
-            check_family_size(5, 10**15, 10_000)
+            build_a_tower(5, 10**15, cap=10_000)
         assert info.value.space == 2 * 10**15 + 1
 
     def test_invalid_arguments_are_left_to_the_builders(self):
         for p, depth in ((1, 10**15), (0, 5), (3, 0), (3, -7)):
-            check_family_size(p, depth, 10)
+            with pytest.raises(ValidationError):
+                build_a_tower(p, depth, cap=10)
 
     def test_spec_orders(self):
-        spec = TowerSpec(HIRZEBRUCH, (AbelianHom.cyclic(8, (1, 0, 0, 0)),
-                                      AbelianHom.cyclic(16, (1, 0, 0, 0))))
-        check_spec_size(spec, 5)
+        spec = tower_spec_to_json(TowerSpec(HIRZEBRUCH, (
+            AbelianHom.cyclic(8, (1, 0, 0, 0)), AbelianHom.cyclic(16, (1, 0, 0, 0)))))
+        tower_spec_from_json(spec, cap=5)
         with pytest.raises(ResourceLimitError, match=r"levels\[1\]") as info:
-            check_spec_size(spec, 4)
+            tower_spec_from_json(spec, cap=4)
         assert (info.value.space, info.value.cap) == (5, 4)
 
     def test_c_depth(self):
-        check_c_size(10, 10)
+        c_tower_report(2, [0], 10, cap=10)
         with pytest.raises(ResourceLimitError) as info:
-            check_c_size(11, 10)
+            c_tower_report(2, [0], 11, cap=10)
         assert (info.value.space, info.value.cap) == (11, 10)
 
 
