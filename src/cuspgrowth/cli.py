@@ -24,9 +24,9 @@ import io
 import json
 import sys
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from . import counts, weights
 from .counts import GroupFamily
@@ -36,8 +36,8 @@ from .serialize import (
     UNBOUNDED,
     c_tower_report_to_json,
     dumps_canonical,
+    dumps_tower_report,
     int_status_to_json,
-    tower_report_to_json,
     tower_spec_from_json,
     tower_spec_to_json,
     weights_to_json,
@@ -101,10 +101,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 # Handlers: each leaf subparser names its own with `set_defaults`.  A
 # handler reads the parsed namespace and returns the JSON document and a
 # text view, which is either (headers, rows), rendered as a table or as
-# CSV, or a fixed text that has no CSV form.
+# CSV, or a fixed text that has no CSV form.  A handler may instead hand
+# over zero-argument callables that write the JSON text or build the
+# (headers, rows), so that only the requested format is produced.
 
 Table = tuple[list[str], list[list[Any]]]
-Rendered = tuple[dict, Union[str, Table]]
+Rendered = tuple[Union[dict, Callable[[], str]], Union[str, Table, Callable[[], Table]]]
 
 
 def _cap(ns: argparse.Namespace) -> dict[str, int]:
@@ -197,6 +199,10 @@ def _tower_table(report: TowerReport) -> Table:
     return headers, rows
 
 
+def _tower_views(report: TowerReport) -> Rendered:
+    return partial(dumps_tower_report, report), partial(_tower_table, report)
+
+
 def _tower_run(ns: argparse.Namespace) -> Rendered:
     family = ns.family.upper()
     if family == "C":
@@ -219,8 +225,7 @@ def _tower_run(ns: argparse.Namespace) -> Rendered:
     if ns.emit_spec:
         with _any_int_digits():
             _write(ns.emit_spec, dumps_canonical(tower_spec_to_json(spec)))
-    report = analyze_tower(spec)
-    return tower_report_to_json(report), _tower_table(report)
+    return _tower_views(analyze_tower(spec))
 
 
 def _tower_analyze(ns: argparse.Namespace) -> Rendered:
@@ -235,8 +240,7 @@ def _tower_analyze(ns: argparse.Namespace) -> Rendered:
         raise ValidationError(f"cannot read tower spec {path!r}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, undecodable bytes, overlong ints
         raise ValidationError(f"malformed tower spec JSON in {path!r}: {exc}") from exc
-    report = analyze_tower(tower_spec_from_json(data, **_cap(ns)))
-    return tower_report_to_json(report), _tower_table(report)
+    return _tower_views(analyze_tower(tower_spec_from_json(data, **_cap(ns))))
 
 
 def _congruence_orders(ns: argparse.Namespace) -> Rendered:
@@ -306,7 +310,9 @@ def _congruence_dtower(ns: argparse.Namespace) -> Rendered:
 def _render(ns: argparse.Namespace, rendered: Rendered) -> str:
     doc, view = rendered
     if ns.format == "json":
-        return dumps_canonical(doc)
+        return doc() if callable(doc) else dumps_canonical(doc)
+    if callable(view):
+        view = view()
     if isinstance(view, str):
         if ns.format == "csv":
             raise ValidationError(

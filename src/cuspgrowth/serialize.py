@@ -5,6 +5,12 @@ as arrays of arrays of decimal strings (arbitrary precision preserved),
 invariant-factor lists as arrays of decimal strings (integers accepted
 on input).  Emitted documents are canonical: sorted keys, two-space
 indent, trailing newline; reports round-trip byte-identically.
+
+`dumps_canonical` writes any document through `json.dumps`, whose
+indented form runs the pure-Python encoder.  `dumps_tower_report` writes
+the fixed shape of a tower report directly, from one template per set of
+cusp names, and returns the same bytes as
+`dumps_canonical(tower_report_to_json(report))`.
 """
 
 from __future__ import annotations
@@ -235,6 +241,11 @@ def tower_spec_from_json(data: Any, cap: int = DEFAULT_DECK_BITS_CAP) -> TowerSp
     return TowerSpec(base, levels)
 
 
+_DISCONNECTED_NOTE = (
+    "cover is disconnected; the total cusp count is only defined per component"
+)
+
+
 def level_report_to_json(report: LevelReport) -> dict:
     doc = {
         "degree": report.degree,
@@ -245,12 +256,64 @@ def level_report_to_json(report: LevelReport) -> dict:
         "factoring_fibration": report.factoring_fibration,
     }
     if not report.connected:
-        doc["note"] = "cover is disconnected; the total cusp count is only defined per component"
+        doc["note"] = _DISCONNECTED_NOTE
     return doc
 
 
 def tower_report_to_json(report: TowerReport) -> dict:
     return {"levels": [level_report_to_json(lv) for lv in report.levels]}
+
+
+def _level_head(names: tuple[str, ...]) -> tuple[tuple[str, ...], str]:
+    """The sorted cusp names, and the %-template of an indented level
+    object with these cusps up to its `factoring_fibration` line; the
+    multiplicities fill in sorted name order."""
+    order = tuple(sorted(names))
+    cusps = ",\n".join(f"        {json.dumps(name).replace('%', '%%')}: %s"
+                        for name in order)
+    cusps = "{\n" + cusps + "\n      }" if order else "{}"
+    return order, (
+        "    {\n"
+        '      "b1_bound": %s,\n'
+        '      "connected": %s,\n'
+        '      "cusp_multiplicities": ' + cusps + ",\n"
+        '      "degree": %s,\n'
+        '      "factoring_fibration": %s,\n'
+    )
+
+
+def dumps_tower_report(report: TowerReport) -> str:
+    """`dumps_canonical(tower_report_to_json(report))`, written from one
+    template per set of cusp names instead of through the indented
+    encoder."""
+    if not report.levels:
+        return '{\n  "levels": []\n}\n'
+    note = f'      "note": {json.dumps(_DISCONNECTED_NOTE)},\n'
+    unbounded = json.dumps(UNBOUNDED)
+    heads: dict[tuple[str, ...], tuple[tuple[str, ...], str]] = {}
+    fibrations: dict[Optional[str], str] = {None: "null"}
+    levels = []
+    for lv in report.levels:
+        mults = lv.cusp_multiplicities
+        names = tuple(mults)
+        if names not in heads:
+            heads[names] = _level_head(names)
+        order, head = heads[names]
+        via = lv.factoring_fibration
+        if via not in fibrations:
+            fibrations[via] = json.dumps(via)
+        text = head % (
+            unbounded if lv.b1_bound is None else lv.b1_bound,
+            "true" if lv.connected else "false",
+            *[mults[name] for name in order],
+            lv.degree,
+            fibrations[via],
+        )
+        if not lv.connected:
+            text += note
+        total = "null" if lv.total_cusps is None else lv.total_cusps
+        levels.append(f'{text}      "total_cusps": {total}\n    }}')
+    return '{\n  "levels": [\n' + ",\n".join(levels) + "\n  ]\n}\n"
 
 
 def c_tower_report_to_json(levels: list[CTowerLevel]) -> dict:

@@ -10,9 +10,16 @@ integer arithmetic.  A fibration over a curve with finitely generated
 fiber group caps b1 of every cover whose homomorphism kills the
 fibration's kernel sublattice.
 
-One level costs one integer product: the level's images times every
-cusp and kernel generator of the base, stacked once per base.  Each
-cusp's index and each kernel test reads a slice of that product.
+A tower costs one integer product per distinct images matrix: the
+images times every cusp and kernel generator of the base, stacked once
+per base, computed once per tower however many levels share it (every
+level of an A or B tower does).  A cyclic level Z/d then reads only
+gcds kept with that product: the gcd g of each cusp's slice, of the
+images row and of each kernel's slice.  The cusp's index is gcd(d, g),
+the cover is connected iff gcd(d, g) == 1 for the images row, and a
+kernel dies iff d divides its g.  Levels with two or more invariant
+factors, or none, take the indices and kernel tests of the cached
+product's slices from `_index` and `_kills` instead.
 """
 
 from __future__ import annotations
@@ -20,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .counts import is_prime
 from .errors import ResourceLimitError, ValidationError
 from .lattice import (
     AbelianHom,
+    FiniteAbelianGroup,
     IntMatrix,
     _index,
     _kills,
@@ -234,34 +242,57 @@ def analyze_level(base: BaseSpace, rho: AbelianHom) -> LevelReport:
             f"homomorphism expects rank {rho.source_rank}, base has rank "
             f"{base.ambient_rank}"
         )
-    factors = rho.target.invariant_factors
-    columns, cusp_spans, fibration_spans = base._generators
-    images = _product_rows(rho.images.entries, columns)
-    connected = _index(factors, rho.images.entries) == 1
-    multiplicities = {
-        cusp.name: _index(factors, [row[span] for row in images])
-        for cusp, span in zip(base.cusps, cusp_spans)
-    }
-    total = sum(multiplicities.values()) if connected else None
-    bound = None
-    via = None
-    for fib, span in zip(base.fibrations, fibration_spans):
-        if _kills(factors, [row[span] for row in images]):
-            bound = b1_bound_for(fib)
-            via = fib.name
-            break
-    return LevelReport(
-        degree=rho.target.order,
-        connected=connected,
-        cusp_multiplicities=multiplicities,
-        total_cusps=total,
-        b1_bound=bound,
-        factoring_fibration=via,
-    )
+    return _analyze(base, (rho,))[0]
 
 
 def analyze_tower(spec: TowerSpec) -> TowerReport:
-    return TowerReport(tuple(analyze_level(spec.base, rho) for rho in spec.levels))
+    return TowerReport(tuple(_analyze(spec.base, spec.levels)))
+
+
+def _analyze(base: BaseSpace, levels: Sequence[AbelianHom]) -> list[LevelReport]:
+    """`analyze_level` of each level, with one product per distinct
+    images matrix (see the module docstring)."""
+    columns, cusp_spans, fibration_spans = base._generators
+    names = [cusp.name for cusp in base.cusps]
+    bounds = [(b1_bound_for(fib), fib.name) for fib in base.fibrations]
+    # Keyed by the images matrix, which has one row per invariant factor:
+    # for a cyclic level the gcds of its product, else the product rows.
+    cache: dict[tuple[tuple[int, ...], ...], Any] = {}
+    reports = []
+    for rho in levels:
+        factors = rho.target.invariant_factors
+        rows = rho.images.entries
+        images = cache.get(rows)
+        if images is None:
+            images = _product_rows(rows, columns)
+            if len(rows) == 1:
+                (row,) = images
+                images = (gcd(*rows[0]),
+                          [gcd(*row[span]) for span in cusp_spans],
+                          [gcd(*row[span]) for span in fibration_spans])
+            cache[rows] = images
+        if len(factors) == 1:
+            (d,) = factors
+            g_images, g_cusps, g_kernels = images
+            connected = gcd(d, g_images) == 1
+            indices = [gcd(d, g) for g in g_cusps]
+            killed = next((i for i, g in enumerate(g_kernels) if g % d == 0), None)
+        else:
+            connected = _index(factors, rows) == 1
+            indices = [_index(factors, [row[span] for row in images])
+                       for span in cusp_spans]
+            killed = next((i for i, span in enumerate(fibration_spans)
+                           if _kills(factors, [row[span] for row in images])), None)
+        bound, via = (None, None) if killed is None else bounds[killed]
+        reports.append(LevelReport(
+            degree=rho.target.order,
+            connected=connected,
+            cusp_multiplicities=dict(zip(names, indices)),
+            total_cusps=sum(indices) if connected else None,
+            b1_bound=bound,
+            factoring_fibration=via,
+        ))
+    return reports
 
 
 def build_a_tower(p: int, depth: int, cap: int = DEFAULT_DECK_BITS_CAP) -> TowerSpec:
@@ -296,7 +327,8 @@ def _prime_power_tower(
     p: int, depth: int, images: tuple[int, ...], cap: int
 ) -> TowerSpec:
     """Levels Z/p^j, j = 1..depth, over `HIRZEBRUCH`, each sending v_i to
-    images[i] times a generator.
+    images[i] times a generator.  Every level shares one images matrix,
+    and each modulus is the previous one times p.
 
     The top order p^depth has at least depth * (b - 1) + 1 bits, for b
     the bit length of p.  When that bound is already above `cap`, it is
@@ -319,8 +351,13 @@ def _prime_power_tower(
         raise ValidationError(f"{p} is not prime")
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-    levels = tuple(AbelianHom.cyclic(p**j, images) for j in range(1, depth + 1))
-    return TowerSpec(HIRZEBRUCH, levels)
+    row = IntMatrix.from_rows([images])
+    levels = []
+    modulus = 1
+    for _ in range(depth):
+        modulus *= p
+        levels.append(AbelianHom(FiniteAbelianGroup((modulus,)), row))
+    return TowerSpec(HIRZEBRUCH, tuple(levels))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspgrowth import (
     HIRZEBRUCH,
@@ -19,6 +21,7 @@ from cuspgrowth.serialize import (
     base_from_json,
     base_to_json,
     dumps_canonical,
+    dumps_tower_report,
     level_report_to_json,
     matrix_from_json,
     matrix_to_json,
@@ -27,7 +30,8 @@ from cuspgrowth.serialize import (
     tower_spec_to_json,
     weights_to_json,
 )
-from cuspgrowth.towers import analyze_level
+from cuspgrowth.cli import _any_int_digits
+from cuspgrowth.towers import LevelReport, TowerReport, analyze_level
 
 
 class TestWeightsJson:
@@ -176,6 +180,56 @@ class TestReportJson:
         text2 = dumps_canonical(tower_report_to_json(analyze_tower(build_a_tower(3, 2))))
         assert text1 == text2
         assert text1.endswith("\n")
+
+
+#: Names with quotes, backslashes, control characters, non-ASCII text
+#: and the template's own '%'.
+NAMES = st.text(alphabet=st.sampled_from('aZ0 "\\/%{}\x00\x1f\x7f\n\té€\u2028😀'),
+                max_size=6) | st.text(max_size=4)
+#: Past the 4,300 digits that int-to-decimal conversion allows by default.
+HUGE = 10**4400 + 7
+
+
+@st.composite
+def tower_reports(draw):
+    """A report of 0-5 levels over one set of 0-4 cusp names (in a random
+    insertion order per level), with connected and disconnected levels,
+    unbounded and bounded b1, and degrees up to past 4,300 digits."""
+    names = draw(st.lists(NAMES, max_size=4, unique=True))
+    fibrations = draw(st.lists(NAMES, min_size=1, max_size=3))
+    ints = st.integers(min_value=-5, max_value=10**40)
+    levels = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        order = draw(st.permutations(names))
+        connected = draw(st.booleans())
+        levels.append(LevelReport(
+            degree=draw(ints | st.just(HUGE)),
+            connected=connected,
+            cusp_multiplicities={name: draw(ints) for name in order},
+            total_cusps=draw(ints) if connected else None,
+            b1_bound=draw(st.none() | ints),
+            factoring_fibration=draw(st.none() | st.sampled_from(fibrations)),
+        ))
+    return TowerReport(tuple(levels))
+
+
+class TestTowerReportWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(tower_reports())
+    def test_writes_the_canonical_bytes(self, report):
+        with _any_int_digits():
+            assert dumps_tower_report(report) == dumps_canonical(tower_report_to_json(report))
+
+    def test_empty_report_and_no_cusps(self):
+        empty = TowerReport(())
+        assert dumps_tower_report(empty) == dumps_canonical(tower_report_to_json(empty))
+        level = LevelReport(1, False, {}, None, None, None)
+        report = TowerReport((level, level))
+        text = dumps_tower_report(report)
+        assert text == dumps_canonical(tower_report_to_json(report))
+        assert '"cusp_multiplicities": {},' in text
+        assert text.index('"factoring_fibration"') < text.index('"note"') < text.index(
+            '"total_cusps"')
 
 
 class TestBaseJson:

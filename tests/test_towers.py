@@ -170,6 +170,84 @@ class TestAnalyzeLevelOracles:
         assert report.total_cusps == 0 and report.factoring_fibration is None
 
 
+@st.composite
+def shared_row_specs(draw):
+    """A random explicit base of rank 1-4 with 0-3 cusps and 0-2 random
+    fibrations, and 1-12 levels: one images row over several cyclic
+    moduli (kept unreduced by some, so they share one cached product),
+    mixed with repeated rank 2-4 levels, trivial deck groups and all-zero
+    rows.  At times the shared row is 0 at some coordinate z and a
+    further fibration has kernel e_z, so its product row is all zeros."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=-3, max_value=3)
+
+    def lattice(max_cols):
+        n = draw(st.integers(min_value=1, max_value=min(max_cols, k)))
+        return IntMatrix.from_rows([[draw(entry) for _ in range(n)] for _ in range(k)], n)
+
+    cusps = []
+    for c in range(draw(st.integers(min_value=0, max_value=3))):
+        sub = lattice(3)
+        assume(smith_normal_form(sub).rank == sub.cols)
+        cusps.append(CuspData(f"K{c}", sub))
+    fibrations = [
+        FibrationData(f"F{f}", lattice(2), target_rank=1, fiber_genus=1, fiber_punctures=f)
+        for f in range(draw(st.integers(min_value=0, max_value=2)))
+    ]
+    row = [draw(st.integers(min_value=0, max_value=12)) for _ in range(k)]
+    if draw(st.booleans()):
+        z = draw(st.integers(min_value=0, max_value=k - 1))
+        row[z] = 0
+        unit = IntMatrix.from_columns([tuple(int(i == z) for i in range(k))])
+        fibrations.insert(draw(st.integers(min_value=0, max_value=len(fibrations))),
+                          FibrationData("Z", unit, target_rank=1, fiber_genus=1,
+                                        fiber_punctures=1))
+    modulus = st.integers(min_value=2, max_value=400)
+    levels = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        kind = draw(st.sampled_from(["shared"] * 4 + ["rank", "trivial", "zero"]))
+        if kind == "shared":
+            levels.append(AbelianHom(FiniteAbelianGroup((draw(modulus),)),
+                                     IntMatrix.from_rows([row])))
+        elif kind == "zero":
+            levels.append(AbelianHom.cyclic(draw(modulus), [0] * k))
+        elif kind == "trivial":
+            levels.append(AbelianHom(FiniteAbelianGroup(()), IntMatrix((), k)))
+        else:
+            target = FiniteAbelianGroup.from_cyclic_factors(draw(st.lists(
+                st.integers(min_value=2, max_value=6), min_size=2, max_size=4)))
+            assume(target.rank >= 2)
+            images = IntMatrix.from_rows(
+                [row if draw(st.booleans()) else [draw(entry) for _ in range(k)]
+                 for _ in range(target.rank)], k)
+            levels += [AbelianHom(target, images)] * draw(st.integers(min_value=1, max_value=2))
+    return TowerSpec(BaseSpace(k, tuple(cusps), tuple(fibrations)), tuple(levels))
+
+
+class TestAnalyzeTowerOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(shared_row_specs())
+    def test_levels_match_the_per_level_oracle(self, spec):
+        assert list(analyze_tower(spec).levels) == [
+            oracles.analyze_level(spec.base, rho) for rho in spec.levels]
+
+    def test_zero_kernel_row_kills_every_level(self):
+        base = BaseSpace(2, (CuspData("K", IntMatrix.from_columns([(1, 0)])),), (
+            FibrationData("Z", IntMatrix.from_columns([(0, 1)]), target_rank=1,
+                          fiber_genus=1, fiber_punctures=1),))
+        spec = TowerSpec(base, tuple(AbelianHom.cyclic(m, (1, 0)) for m in (2, 9, 400)))
+        report = analyze_tower(spec)
+        assert [lv.factoring_fibration for lv in report.levels] == ["Z"] * 3
+        assert list(report.levels) == [oracles.analyze_level(base, rho) for rho in spec.levels]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a_and_b_towers_match_the_oracle(self, p):
+        for build in (build_a_tower, build_b_tower)[: 1 + (p > 2)]:
+            spec = build(p, 30)
+            assert list(analyze_tower(spec).levels) == [
+                oracles.analyze_level(HIRZEBRUCH, rho) for rho in spec.levels]
+
+
 class TestSizeGuards:
     def test_family_bits_exact_at_the_cap(self):
         build_a_tower(2, 99, cap=100)  # 2^99 has 100 bits
