@@ -16,9 +16,6 @@ from typing import Optional, Sequence
 from .counts import d_tower_rows
 from .errors import ValidationError
 
-#: A fitted slope matches a target exponent when within this distance.
-DEFAULT_MATCH_TOLERANCE = 0.05
-
 
 @dataclass(frozen=True)
 class ExponentFit:

@@ -4,8 +4,8 @@ Elements are encoded as integers 0 .. p^n - 1, the base-p digits being
 polynomial coefficients in little-endian order.  The modulus is the
 least irreducible monic polynomial of degree n under that encoding, so
 field construction is deterministic.  Only meant for tiny fields; the
-addition, negation, multiplication and inversion tables are
-materialized up front.
+addition, negation and multiplication tables are materialized up
+front.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 
 
 class PrimePowerField:
-    """GF(p^n) with precomputed addition, negation, multiplication and
-    inversion tables."""
+    """GF(p^n) with precomputed addition, negation and multiplication
+    tables."""
 
     def __init__(self, p: int, n: int):
         if n < 1:
@@ -105,8 +105,6 @@ class PrimePowerField:
                 code = _code_from_poly(_poly_mod(prod, modulus, p), p)
                 self._mul[a][b] = code
                 self._mul[b][a] = code
-        # a^(size - 1) = 1 for every a != 0 in the multiplicative group.
-        self._inv = [0] + [self.pow(a, size - 2) for a in range(1, size)]
 
     @staticmethod
     def _least_irreducible(p: int, n: int) -> tuple[int, ...]:
@@ -131,11 +129,6 @@ class PrimePowerField:
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in a finite field")
-        return self._inv[a]
 
     def pow(self, a: int, e: int) -> int:
         result = 1

@@ -285,33 +285,9 @@ class FiniteAbelianGroup:
         for a, b in zip(kept, kept[1:]):
             if b % a != 0:
                 raise ValidationError(
-                    f"invariant factors must form a divisor chain; {a} does not "
-                    f"divide {b} (use from_cyclic_factors to normalize)"
+                    f"invariant factors must form a divisor chain; {a} does not divide {b}"
                 )
         object.__setattr__(self, "invariant_factors", tuple(kept))
-
-    @classmethod
-    def from_cyclic_factors(cls, moduli: Iterable[int]) -> "FiniteAbelianGroup":
-        """Canonicalize an arbitrary direct sum of cyclic groups Z/m_i.
-
-        Z/a (+) Z/b is Z/gcd(a, b) (+) Z/lcm(a, b), so replacing each pair
-        i < j by (gcd, lcm) leaves m_i dividing every later modulus; after
-        all pairs the list is a divisor chain, the invariant factors, in
-        quadratic time.
-        """
-        ms = [m for m in moduli]
-        for m in ms:
-            if m <= 0:
-                raise ValidationError(f"cyclic factor moduli must be positive, got {m}")
-        ms = [m for m in ms if m > 1]
-        for i in range(len(ms)):
-            a = ms[i]
-            for j in range(i + 1, len(ms)):
-                b = ms[j]
-                g = gcd(a, b)
-                a, ms[j] = g, a // g * b
-            ms[i] = a
-        return cls(tuple(ms))
 
     @property
     def rank(self) -> int:
@@ -320,15 +296,6 @@ class FiniteAbelianGroup:
     @property
     def order(self) -> int:
         return prod(self.invariant_factors)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
-    def __str__(self) -> str:
-        if self.is_trivial:
-            return "trivial"
-        return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
 @dataclass(frozen=True)
@@ -359,11 +326,6 @@ class AbelianHom:
     @property
     def source_rank(self) -> int:
         return self.images.cols
-
-    @classmethod
-    def cyclic(cls, modulus: int, images: Sequence[int]) -> "AbelianHom":
-        """Convenience builder for a map Z^k -> Z/modulus."""
-        return cls(FiniteAbelianGroup((modulus,)), IntMatrix.from_rows([list(images)]))
 
 
 def cokernel(target: FiniteAbelianGroup, generators: IntMatrix) -> FiniteAbelianGroup:

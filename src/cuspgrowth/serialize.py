@@ -129,12 +129,15 @@ def hom_to_json(rho: AbelianHom) -> dict:
 def hom_from_json(
     data: Any, ambient_rank: int, what: str = "level", cap: int = DEFAULT_DECK_BITS_CAP
 ) -> AbelianHom:
-    """Parse a level.  Its deck group Z/m_1 (+) ... (+) Z/m_r is refused
-    before any arithmetic on it when more than `MAX_LEVEL_RANK` of the m_i
-    are above 1, or when its order has more than `cap` bits.  The order
-    has at least sum(bits(m_i) - 1) + 1 bits over those m_i; when that
-    bound is above the cap it is what the refusal reports, and the exact
-    bit length is taken only below it."""
+    """Parse a level as written: invariant factors d_1 | d_2 | ... and one
+    `images` row per listed factor, row i read modulo d_i.  A factor 1
+    is dropped with its row, which is zero modulo 1.
+
+    The deck group is refused before any row is parsed when more than
+    `MAX_LEVEL_RANK` of the d_i are above 1, or when its order has more
+    than `cap` bits.  The order has at least sum(bits(d_i) - 1) + 1 bits
+    over those d_i; when that bound is above the cap it is what the
+    refusal reports, and the exact bit length is taken only below it."""
     moduli_what = f"{what}.invariant_factors"
     moduli = [_parse_int(x, moduli_what)
               for x in _array(_member(data, "invariant_factors", what), moduli_what)]
@@ -157,9 +160,18 @@ def hom_from_json(
             bits,
             cap,
         )
-    target = FiniteAbelianGroup.from_cyclic_factors(moduli)
+    try:
+        target = FiniteAbelianGroup(tuple(moduli))
+    except ValidationError as exc:
+        raise ValidationError(f"{moduli_what}: {exc}") from exc
     images = matrix_from_json(_member(data, "images", what), cols=ambient_rank,
                               what=f"{what}.images")
+    if images.rows != len(moduli):
+        raise ValidationError(f"{what}.images: expected one row per listed invariant "
+                              f"factor, {len(moduli)} rows, got {images.rows}")
+    if 1 in moduli:
+        images = IntMatrix(tuple(row for m, row in zip(moduli, images.entries) if m != 1),
+                           ambient_rank)
     return AbelianHom(target, images)
 
 

@@ -295,7 +295,7 @@ def count_sl(f, m):
 
     def normalize(vec):
         lead = next(x for x in vec if x != 0)
-        inv = f.inv(lead)
+        inv = f._mul[lead].index(1)
         return tuple(f.mul(inv, x) for x in vec)
 
     def recurse():

@@ -238,6 +238,50 @@ class TestTowerCommands:
         assert out == ""
         assert validation_message(code, err).startswith(path + ":")
 
+    def analyze_levels(self, tmp_path, capsys, levels):
+        """Exit code, stdout and stderr of `tower analyze --format json`
+        on these levels over the Hirzebruch base."""
+        path = tmp_path / "levels.json"
+        path.write_text(json.dumps({"base": "hirzebruch", "levels": levels}))
+        return run_cli(capsys, "tower", "analyze", "--spec", str(path), "--format", "json")
+
+    def test_level_is_read_as_written(self, tmp_path, capsys):
+        # Row i is read modulo factor i, so Z/4 (+) Z/2 is no chain and is
+        # refused, while the same map written as Z/2 (+) Z/4 is analyzed.
+        rows = [["1", "0", "0", "0"], ["2", "0", "1", "0"]]
+        code, out, err = self.analyze_levels(
+            tmp_path, capsys, [{"invariant_factors": ["4", "2"], "images": rows[::-1]}])
+        assert out == ""
+        assert validation_message(code, err).startswith("levels[0].invariant_factors: ")
+        code, out, err = self.analyze_levels(
+            tmp_path, capsys, [{"invariant_factors": ["2", "4"], "images": rows}])
+        assert code == 0 and err == ""
+        level = json.loads(out)["levels"][0]
+        assert level["cusp_multiplicities"] == {"C0": 4, "C1": 2, "Cinf": 2, "Czeta": 1}
+
+    def test_coprime_factors_exit_2(self, tmp_path, capsys):
+        code, out, err = self.analyze_levels(tmp_path, capsys, [
+            {"invariant_factors": ["6", "4"],
+             "images": [["1", "1", "0", "0"], ["3", "3", "1", "1"]]}])
+        assert out == ""
+        assert validation_message(code, err).startswith(
+            "levels[0].invariant_factors: invariant factors must form a divisor chain")
+
+    def test_one_row_per_listed_factor(self, tmp_path, capsys):
+        code, out, err = self.analyze_levels(tmp_path, capsys, [
+            {"invariant_factors": ["2", "4"], "images": [["1", "0", "0", "0"]]}])
+        assert out == ""
+        assert validation_message(code, err).startswith("levels[0].images: ")
+
+    def test_unit_factor_is_dropped_with_its_row(self, tmp_path, capsys):
+        row = ["2", "0", "1", "0"]
+        code, out, err = self.analyze_levels(tmp_path, capsys, [
+            {"invariant_factors": ["1", "4"], "images": [["1", "1", "1", "1"], row]},
+            {"invariant_factors": ["4"], "images": [row]}])
+        assert code == 0 and err == ""
+        written, cyclic = json.loads(out)["levels"]
+        assert written == cyclic and written["degree"] == 4
+
     def test_out_into_missing_directory_exits_2(self, tmp_path, capsys):
         target = tmp_path / "missing" / "run.json"
         code, _, err = run_cli(
@@ -307,19 +351,19 @@ class TestTowerSizeGuards:
         assert top in spec_path.read_text()
 
     def test_analyze_huge_deck_group(self, tmp_path, capsys):
-        a, b = 10**2499 + 1, 10**2499 + 2  # coprime: the deck group is Z/ab
+        a = 10**2499 + 1  # the deck group is (Z/a)^2
         spec = {"base": "hirzebruch",
-                "levels": [{"invariant_factors": [str(a), str(b)],
-                            "images": [["1", "0", "0", "0"]]}]}
+                "levels": [{"invariant_factors": [str(a), str(a)],
+                            "images": [["1", "0", "0", "0"], ["0", "0", "1", "0"]]}]}
         path = tmp_path / "big.json"
         path.write_text(json.dumps(spec))
         argv = ["tower", "analyze", "--spec", str(path), "--format", "json"]
         record = resource_record(*run_cli(capsys, *argv))
-        assert (record["space"], record["cap"]) == ((a * b).bit_length(), 10_000)
+        assert (record["space"], record["cap"]) == ((a * a).bit_length(), 10_000)
         assert record["message"].startswith("levels[0]:")
         code, out, err = run_cli(capsys, *argv, "--cap", "20000")
         assert code == 0 and err == ""
-        assert f'"degree": {decimal(a * b)},' in out
+        assert f'"degree": {decimal(a * a)},' in out
 
     @pytest.mark.parametrize("text", ["[" + "7" * 5000 + "]", b"\xff\xfe{"],
                              ids=["overlong-int", "not-utf8"])

@@ -151,7 +151,8 @@ class TestSpecLevelBounds:
 
 class TestReportJson:
     def test_level_report_fields(self):
-        report = analyze_level(HIRZEBRUCH, AbelianHom.cyclic(9, (1, 0, 0, 0)))
+        rho = AbelianHom(FiniteAbelianGroup((9,)), IntMatrix.from_rows([[1, 0, 0, 0]]))
+        report = analyze_level(HIRZEBRUCH, rho)
         doc = level_report_to_json(report)
         assert doc["degree"] == 9
         assert doc["total_cusps"] == 12
@@ -169,7 +170,8 @@ class TestReportJson:
 
     def test_disconnected_note(self):
         doc = level_report_to_json(
-            analyze_level(HIRZEBRUCH, AbelianHom.cyclic(4, (2, 2, 0, 0)))
+            analyze_level(HIRZEBRUCH, AbelianHom(FiniteAbelianGroup((4,)),
+                                                 IntMatrix.from_rows([[2, 2, 0, 0]])))
         )
         assert doc["total_cusps"] is None
         assert "disconnected" in doc["note"]

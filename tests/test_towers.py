@@ -22,12 +22,28 @@ from cuspgrowth import (
     smith_normal_form,
 )
 from cuspgrowth.errors import ResourceLimitError
-from cuspgrowth.serialize import tower_spec_from_json, tower_spec_to_json
-from math import gcd
+from cuspgrowth.serialize import base_to_json, tower_spec_from_json, tower_spec_to_json
+from math import gcd, prod
+from types import SimpleNamespace
 
 
 def trivial_hom():
     return AbelianHom(FiniteAbelianGroup(()), IntMatrix((), 4))
+
+
+def cyclic(modulus, row):
+    """The map Z^k -> Z/modulus sending e_j to row[j]."""
+    return AbelianHom(FiniteAbelianGroup((modulus,)), IntMatrix.from_rows([list(row)]))
+
+
+@st.composite
+def divisor_chains(draw, first, step, min_size=1, max_size=3):
+    """Invariant factors d_1 | d_2 | ...: d_1 in 2..first, and each next
+    factor the one before times 1..step."""
+    chain = [draw(st.integers(min_value=2, max_value=first))]
+    for _ in range(draw(st.integers(min_value=min_size - 1, max_value=max_size - 1))):
+        chain.append(chain[-1] * draw(st.integers(min_value=1, max_value=step)))
+    return chain
 
 
 class TestBuiltInBase:
@@ -74,32 +90,32 @@ class TestAnalyzeLevel:
         assert report.total_cusps == 4
 
     def test_a_tower_p3_level2(self):
-        report = analyze_level(HIRZEBRUCH, AbelianHom.cyclic(9, (1, 0, 0, 0)))
+        report = analyze_level(HIRZEBRUCH, cyclic(9, (1, 0, 0, 0)))
         assert report.degree == 9
         assert report.connected
         assert report.cusp_multiplicities == {"Cinf": 9, "C0": 1, "C1": 1, "Czeta": 1}
         assert report.total_cusps == 12
 
     def test_b_tower_p5_level1(self):
-        report = analyze_level(HIRZEBRUCH, AbelianHom.cyclic(5, (1, 1, 1, 1)))
+        report = analyze_level(HIRZEBRUCH, cyclic(5, (1, 1, 1, 1)))
         assert report.degree == 5
         assert report.connected
         assert report.total_cusps == 4
 
     def test_b_shape_p2_shows_why_odd_is_needed(self):
-        report = analyze_level(HIRZEBRUCH, AbelianHom.cyclic(2, (1, 1, 1, 1)))
+        report = analyze_level(HIRZEBRUCH, cyclic(2, (1, 1, 1, 1)))
         assert report.total_cusps == 5
         assert report.cusp_multiplicities["C1"] == 2
 
     def test_disconnected_cover_is_flagged_not_rejected(self):
-        report = analyze_level(HIRZEBRUCH, AbelianHom.cyclic(4, (2, 2, 0, 0)))
+        report = analyze_level(HIRZEBRUCH, cyclic(4, (2, 2, 0, 0)))
         assert not report.connected
         assert report.total_cusps is None
         assert report.cusp_multiplicities  # still reported
 
     def test_rank_mismatch(self):
         with pytest.raises(ValidationError, match="rank"):
-            analyze_level(HIRZEBRUCH, AbelianHom.cyclic(3, (1, 0)))
+            analyze_level(HIRZEBRUCH, cyclic(3, (1, 0)))
 
 
 @st.composite
@@ -125,8 +141,8 @@ def explicit_levels(draw):
     if draw(st.booleans()):
         moduli = [draw(st.integers(min_value=1, max_value=1000))]
     else:
-        moduli = draw(st.lists(st.integers(min_value=2, max_value=12), min_size=2, max_size=3))
-    target = FiniteAbelianGroup.from_cyclic_factors(moduli)
+        moduli = draw(divisor_chains(12, 4, min_size=2))
+    target = FiniteAbelianGroup(tuple(moduli))
     assume(target.order <= 1000)
     images = IntMatrix.from_rows(
         [[draw(st.integers(min_value=-30, max_value=30)) for _ in range(k)]
@@ -170,6 +186,35 @@ class TestAnalyzeLevelOracles:
         assert report.total_cusps == 0 and report.factoring_fibration is None
 
 
+class TestSpecLevelsAsWritten:
+    @settings(max_examples=200, deadline=None)
+    @given(explicit_levels(), divisor_chains(6, 3), st.data())
+    def test_cusp_indices_match_closure_over_the_written_moduli(self, case, chain, data):
+        # A chain with factors 1 mixed in and one row per listed factor,
+        # read back from JSON; the oracle closes the image of each cusp
+        # lattice in (+) Z/m_i over the moduli as written.
+        base, _ = case
+        k = base.ambient_rank
+        moduli = list(chain)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+            moduli.insert(data.draw(st.integers(min_value=0, max_value=len(moduli))), 1)
+        rows = [[data.draw(st.integers(min_value=-30, max_value=30)) for _ in range(k)]
+                for _ in moduli]
+        doc = {"base": base_to_json(base),
+               "levels": [{"invariant_factors": [str(m) for m in moduli],
+                           "images": [[str(x) for x in row] for row in rows]}]}
+        (level,) = analyze_tower(tower_spec_from_json(doc)).levels
+        written = SimpleNamespace(invariant_factors=tuple(moduli), order=prod(moduli))
+
+        def index(lattice):
+            images = [tuple(sum(x * y for x, y in zip(row, col)) for row in rows)
+                      for col in lattice.columns()]
+            return written.order // len(oracles.subgroup_elements(written, images))
+
+        assert level.degree == written.order
+        assert level.cusp_multiplicities == {c.name: index(c.sublattice) for c in base.cusps}
+
+
 @st.composite
 def shared_row_specs(draw):
     """A random explicit base of rank 1-4 with 0-3 cusps and 0-2 random
@@ -210,13 +255,11 @@ def shared_row_specs(draw):
             levels.append(AbelianHom(FiniteAbelianGroup((draw(modulus),)),
                                      IntMatrix.from_rows([row])))
         elif kind == "zero":
-            levels.append(AbelianHom.cyclic(draw(modulus), [0] * k))
+            levels.append(cyclic(draw(modulus), [0] * k))
         elif kind == "trivial":
             levels.append(AbelianHom(FiniteAbelianGroup(()), IntMatrix((), k)))
         else:
-            target = FiniteAbelianGroup.from_cyclic_factors(draw(st.lists(
-                st.integers(min_value=2, max_value=6), min_size=2, max_size=4)))
-            assume(target.rank >= 2)
+            target = FiniteAbelianGroup(tuple(draw(divisor_chains(6, 3, 2, 4))))
             images = IntMatrix.from_rows(
                 [row if draw(st.booleans()) else [draw(entry) for _ in range(k)]
                  for _ in range(target.rank)], k)
@@ -235,7 +278,7 @@ class TestAnalyzeTowerOracle:
         base = BaseSpace(2, (CuspData("K", IntMatrix.from_columns([(1, 0)])),), (
             FibrationData("Z", IntMatrix.from_columns([(0, 1)]), target_rank=1,
                           fiber_genus=1, fiber_punctures=1),))
-        spec = TowerSpec(base, tuple(AbelianHom.cyclic(m, (1, 0)) for m in (2, 9, 400)))
+        spec = TowerSpec(base, tuple(cyclic(m, (1, 0)) for m in (2, 9, 400)))
         report = analyze_tower(spec)
         assert [lv.factoring_fibration for lv in report.levels] == ["Z"] * 3
         assert list(report.levels) == [oracles.analyze_level(base, rho) for rho in spec.levels]
@@ -272,7 +315,7 @@ class TestSizeGuards:
 
     def test_spec_orders(self):
         spec = tower_spec_to_json(TowerSpec(HIRZEBRUCH, (
-            AbelianHom.cyclic(8, (1, 0, 0, 0)), AbelianHom.cyclic(16, (1, 0, 0, 0)))))
+            cyclic(8, (1, 0, 0, 0)), cyclic(16, (1, 0, 0, 0)))))
         tower_spec_from_json(spec, cap=5)
         with pytest.raises(ResourceLimitError, match=r"levels\[1\]") as info:
             tower_spec_from_json(spec, cap=4)
@@ -376,4 +419,4 @@ class TestCTower:
 class TestTowerSpec:
     def test_level_rank_checked(self):
         with pytest.raises(ValidationError, match="rank"):
-            TowerSpec(HIRZEBRUCH, (AbelianHom.cyclic(3, (1, 0)),))
+            TowerSpec(HIRZEBRUCH, (cyclic(3, (1, 0)),))
