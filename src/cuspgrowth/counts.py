@@ -1,9 +1,9 @@
 """Exact orders of finite classical groups over residue rings, with
 independent brute-force oracles, and the derived congruence-tower data.
 
-Formula paths are closed-form products; brute-force paths enumerate
-matrices over table-driven finite fields, the unitary ones with
-column-by-column pruning.
+Formula paths are closed-form products; brute-force paths build
+matrices over table-driven finite fields column by column, each column
+running over the affine solution set of the constraints linear in it.
 Both return a `GroupOrder` tagged with its method, and the two must
 agree whenever the brute-force search space fits under the cap.
 
@@ -39,9 +39,11 @@ _EXACT_SPACE_BITS = 14_284
 DEFAULT_ORDER_BITS_CAP = 200_000
 
 #: Refuse prime ranges reaching past this.  The sieve holds one byte
-#: per integer of the range, but the cost that binds is downstream: the
-#: d-tower series factors each prime by trial division, about 9 s for
-#: all primes below 10^6, growing like the cap^1.5.
+#: per integer of the range, but the cost that binds is downstream:
+#: `d_tower_rows` runs one `is_prime` (trial division up to the square
+#: root) per prime, so the work grows like cap^1.5 / log(cap).  A whole
+#: `congruence exponents --n 2` process over the primes 5..10^6 takes
+#: 5.0-5.7 s, 3.4 s of it in `is_prime` (2-vCPU VM, Python 3.11).
 DEFAULT_PRIME_CAP = 10**6
 
 #: Trial division gives up past this divisor, so it decides every
@@ -304,101 +306,97 @@ def _last_column_cofactors(f: PrimePowerField,
     return out
 
 
+def _affine_solutions(f: PrimePowerField, m: int,
+                      equations: Sequence[tuple[Sequence[int], int]]) -> list[tuple[int, ...]]:
+    """Every v in F^m with a . v = b for each (a, b) in `equations`, or
+    [] when they are inconsistent.
+
+    Gauss-Jordan elimination over the field's tables brings the system to
+    reduced row-echelon form.  The solutions are then the particular one
+    plus every combination of the kernel basis: each free coordinate, a
+    basis vector's coefficient, runs over the field, and the pivot
+    coordinate of row (a, b) is b - sum_k a_k x_k over the free k.
+    """
+    add, mul, neg = f._add, f._mul, f._neg
+    rows = [list(a) + [b] for a, b in equations]
+    pivots: list[int] = []
+    for col in range(m):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        scale = mul[mul[rows[i][col]].index(1)]
+        rows[i], rows[r] = rows[r], [scale[x] for x in rows[i]]
+        for k, row in enumerate(rows):
+            if k != r and row[col]:
+                times = mul[neg[row[col]]]
+                rows[k] = [add[x][times[y]] for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    if any(row[m] for row in rows[len(pivots):]):
+        return []
+    free = [c for c in range(m) if c not in pivots]
+    n, size = len(free), f.size
+    # The free coordinates count through F^n, the first one as the top digit.
+    coords = {c: sorted(list(range(size)) * size ** (n - 1 - k)) * size ** k
+              for k, c in enumerate(free)}
+    for row, col in zip(rows, pivots):
+        values = [row[m]]
+        for k in free:  # mul[c] lists c * t for every t
+            values = [add[x][y] for x in values for y in mul[neg[row[k]]]]
+        coords[col] = values
+    return list(zip(*(coords[j] for j in range(m))))
+
+
 def _count_sl(f: PrimePowerField, m: int) -> int:
     """Count m x m matrices over the field with determinant 1.
 
     The determinant is linear in the last column, sum_i C_i x_i with the
     cofactors C_i of the first m - 1 columns, so each choice of those
-    columns scores every candidate last column by a dot product.
+    columns walks the affine solution set of C . x = 1.
     """
-    add, mul = f._add, f._mul
     vectors = list(product(range(f.size), repeat=m))
-    count = 0
-    for cols in product(vectors, repeat=m - 1):
-        cofactors = _last_column_cofactors(f, cols)
-        if not any(cofactors):
-            continue
-        rows = [mul[c] for c in cofactors]
-        for vec in vectors:
-            total = 0
-            for row, x in zip(rows, vec):
-                total = add[total][row[x]]
-            if total == 1:
-                count += 1
-    return count
+    return sum(len(_affine_solutions(f, m, [(_last_column_cofactors(f, cols), 1)]))
+               for cols in product(vectors, repeat=m - 1))
 
 
-def _count_unitary(
-    f: PrimePowerField,
-    m: int,
-    q: int,
-    det_one: bool,
-    unitriangular: bool,
-) -> int:
+def _count_unitary(f: PrimePowerField, m: int, q: int, det_one: bool,
+                   unitriangular: bool) -> int:
     """Count matrices preserving the antidiagonal hermitian form.
 
     Conjugation is the Frobenius x -> x^q on GF(q^2).  Columns are
-    chosen one at a time; the partial-isometry constraints
-    <c_i, c_j> = J_ij for all i <= j <= t prune the search early.
-    Candidate columns are bucketed by their norm <c, c>, so column t only
-    tries the bucket of norm J_tt.
+    chosen one at a time, and every constraint on column v = c_t but one
+    is linear in v: <c_i, v> = J_it for the chosen c_i, i < t; the pins
+    v_t = 1 and v_j = 0 for j > t for UNITRIANGULAR_U; and, for SU at
+    t = m - 1, the cofactor row dotted with v equal to 1 (det = 1).  So
+    column t walks the affine solution set of those equations, and only
+    the quadratic <v, v> = J_tt is tested per candidate.
     """
     add, mul = f._add, f._mul
     conj = [f.pow(a, q) for a in range(f.size)]
-
-    def form_rows(u: Sequence[int]) -> list[list[int]]:
-        # <u, v> = sum_k conj(u_k) v_(m-1-k) = sum_j rows[j][v_j]
-        return [mul[conj[u[m - 1 - j]]] for j in range(m)]
-
-    def herm(rows: list[list[int]], v: Sequence[int]) -> int:
-        total = 0
-        for row, x in zip(rows, v):
-            total = add[total][row[x]]
-        return total
-
-    def target(i: int, j: int) -> int:
-        return 1 if i + j == m - 1 else 0
-
-    def by_norm(vectors: list[tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]]:
-        buckets: dict[int, list[tuple[int, ...]]] = {}
-        for vec in vectors:
-            buckets.setdefault(herm(form_rows(vec), vec), []).append(vec)
-        return buckets
-
-    if unitriangular:
-        candidates = [
-            by_norm([head + (1,) + (0,) * (m - t - 1)
-                     for head in product(range(f.size), repeat=t)]).get(target(t, t), [])
-            for t in range(m)
-        ]
-    else:
-        buckets = by_norm(list(product(range(f.size), repeat=m)))
-        candidates = [buckets.get(target(t, t), []) for t in range(m)]
-
-    count = 0
     chosen: list[tuple[int, ...]] = []
-    chosen_rows: list[list[list[int]]] = []
 
-    def recurse(t: int) -> None:
-        nonlocal count
+    def count(t: int) -> int:
         if t == m:
-            if not det_one or _det(f, chosen) == 1:
-                count += 1
-            return
-        wanted = [target(i, t) for i in range(t)]
-        for vec in candidates[t]:
-            for rows, want in zip(chosen_rows, wanted):
-                if herm(rows, vec) != want:
-                    break
-            else:
-                chosen.append(vec)
-                chosen_rows.append(form_rows(vec))
-                recurse(t + 1)
+            return 1
+        # <u, v> = sum_k conj(u_k) v_(m-1-k) = sum_j conj(u_(m-1-j)) v_j
+        equations = [([conj[u[m - 1 - j]] for j in range(m)], int(i + t == m - 1))
+                     for i, u in enumerate(chosen)]
+        if unitriangular:
+            equations += [([int(i == j) for i in range(m)], int(j == t)) for j in range(t, m)]
+        if det_one and t == m - 1:
+            equations.append((_last_column_cofactors(f, chosen), 1))
+        found, target = 0, int(2 * t == m - 1)
+        for v in _affine_solutions(f, m, equations):
+            norm = 0
+            for j in range(m):
+                norm = add[norm][mul[conj[v[m - 1 - j]]][v[j]]]
+            if norm == target:
+                chosen.append(v)
+                found += count(t + 1)
                 chosen.pop()
-                chosen_rows.pop()
+        return found
 
-    recurse(0)
-    return count
+    return count(0)
 
 
 def brute_force_order(
@@ -441,11 +439,13 @@ def brute_force_order(
         )
     if family is GroupFamily.SL2_ZN:
         # For each (a, b, c), a*d = 1 + b*c (mod q) is linear in d: it has
-        # gcd(a, q) solutions when that gcd divides 1 + b*c, else none.
-        count = 0
-        for a in range(q):
-            g = gcd(a, q)
-            count += g * sum(1 for b in range(q) for c in range(q) if (1 + b * c) % g == 0)
+        # g = gcd(a, q) solutions when g divides 1 + b*c, else none.  That
+        # depends on b and c mod g only, so each distinct g counts its g^2
+        # residue pairs once, times (q/g)^2.
+        gs = [gcd(a, q) for a in range(q)]
+        pairs = {g: (q // g) ** 2 * sum(1 for b in range(g) for c in range(g)
+                                        if (1 + b * c) % g == 0) for g in set(gs)}
+        count = sum(g * pairs[g] for g in gs)
     elif family is GroupFamily.SL:
         count = _count_sl(field(p, e), m)
     else:

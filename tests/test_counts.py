@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -30,7 +30,14 @@ from cuspgrowth import (
     u_order,
     unitriangular_u_order,
 )
-from cuspgrowth.counts import MAX_TRIAL_DIVISOR, _last_column_cofactors, factorize, is_prime
+from cuspgrowth.counts import (
+    MAX_TRIAL_DIVISOR,
+    _affine_solutions,
+    _last_column_cofactors,
+    factorize,
+    is_prime,
+    order_formula,
+)
 from cuspgrowth.gf import PrimePowerField, field
 
 
@@ -55,6 +62,35 @@ SMALL_FIELDS = [
     (p, n) for p in range(2, 257) if oracles.is_prime_trial(p)
     for n in range(1, 9) if p**n <= 256
 ]
+
+
+#: GF(2), GF(4), GF(5), GF(9) and GF(25).
+AFFINE_FIELDS = [(2, 1), (2, 2), (5, 1), (3, 2), (5, 2)]
+
+
+@st.composite
+def affine_systems(draw):
+    """A field, a length m and up to four equations (a, b) over it: random
+    rows, zero rows, and multiples of earlier rows whose right-hand side is
+    either the same multiple (a repeated row) or arbitrary (often an
+    inconsistent one)."""
+    f = field(*draw(st.sampled_from(AFFINE_FIELDS)))
+    m = draw(st.integers(1, 3))
+    element = st.integers(0, f.size - 1)
+    equations = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["random", "zero", "multiple"]))
+        if kind == "multiple" and equations:
+            a, b = draw(st.sampled_from(equations))
+            c = draw(element)
+            equations.append((tuple(f.mul(c, x) for x in a),
+                              draw(st.sampled_from([f.mul(c, b), draw(element)]))))
+        elif kind == "zero":
+            equations.append(((0,) * m, draw(element)))
+        else:
+            equations.append((tuple(draw(st.lists(element, min_size=m, max_size=m))),
+                              draw(element)))
+    return f, m, equations
 
 
 class TestFiniteField:
@@ -90,7 +126,8 @@ class TestSl2:
         assert sl2_order(4).order == 48
 
     def test_formula_matches_enumeration_small(self):
-        for n in range(2, 13):
+        # Up to 128: 128^4 = 2^28 is the largest N^4 under the default cap.
+        for n in range(2, 129):
             assert brute_force_order(GroupFamily.SL2_ZN, 2, n).order == sl2_order(n).order
 
     def test_psl2(self):
@@ -299,6 +336,38 @@ class TestKernelsAgainstOracles:
                 for c, xi in zip(cofactors, x):
                     dot = oracles.digit_add(f, dot, f.mul(c, xi))
                 assert dot == oracles.field_det(f, cols + [x])
+
+    @settings(max_examples=200, deadline=None)
+    @given(affine_systems())
+    @example((field(5, 1), 2, [((1, 2), 3), ((1, 2), 4)]))  # repeated row, new b
+    @example((field(2, 1), 1, [((0,), 1)]))  # 0 = 1
+    @example((field(3, 2), 3, []))  # no equations: all of F^3
+    def test_affine_solutions_match_a_filter_of_the_whole_space(self, system):
+        f, m, equations = system
+        solutions = _affine_solutions(f, m, equations)
+        assert len(set(solutions)) == len(solutions)
+
+        def dot(a, v):
+            total = 0
+            for x, y in zip(a, v):
+                total = oracles.digit_add(f, total, f.mul(x, y))
+            return total
+
+        assert set(solutions) == {
+            v for v in itertools.product(range(f.size), repeat=m)
+            if all(dot(a, v) == b for a, b in equations)
+        }
+
+    @pytest.mark.parametrize("family,m,q", [
+        (GroupFamily.U, 2, 7), (GroupFamily.SU, 2, 7),
+        (GroupFamily.U, 2, 8), (GroupFamily.SU, 2, 8),
+        (GroupFamily.U, 2, 9), (GroupFamily.SU, 2, 9),
+        (GroupFamily.UNITRIANGULAR_U, 3, 3), (GroupFamily.U, 3, 3), (GroupFamily.SU, 3, 3),
+    ])
+    def test_heavy_unitary_cases_match_the_closed_forms(self, family, m, q):
+        # The (3, 3) spaces, 9^9, lie past the default cap.
+        brute = brute_force_order(family, m, q, cap=(q * q) ** (m * m))
+        assert brute.order == order_formula(family, m, q).order
 
     def test_sl_3_3(self):
         assert brute_force_order(GroupFamily.SL, 3, 3).order == oracles.group_order("SL", 3, 3)
