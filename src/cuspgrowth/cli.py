@@ -36,6 +36,7 @@ from .serialize import (
     UNBOUNDED,
     c_tower_report_to_json,
     dumps_canonical,
+    dumps_d_tower,
     dumps_tower_report,
     int_status_to_json,
     tower_spec_from_json,
@@ -295,16 +296,9 @@ def _congruence_dtower(ns: argparse.Namespace) -> Rendered:
     if not primes:
         raise ValidationError(f"no primes in [{lo}, {hi}]")
     series = counts.d_tower_series(ns.n, ns.genus, primes)
-    doc = {
-        "n": ns.n,
-        "genus": ns.genus,
-        "series": [
-            {"q": d.q, "vol": d.vol_proxy, "b1": d.b1_proxy, "cusps": d.cusp_proxy}
-            for d in series
-        ],
-    }
-    rows = [[d.q, d.vol_proxy, d.b1_proxy, d.cusp_proxy] for d in series]
-    return doc, (["q", "vol", "b1", "cusps"], rows)
+    return (partial(dumps_d_tower, ns.n, ns.genus, series),
+            lambda: (["q", "vol", "b1", "cusps"],
+                     [[d.q, d.vol_proxy, d.b1_proxy, d.cusp_proxy] for d in series]))
 
 
 def _render(ns: argparse.Namespace, rendered: Rendered) -> str:

@@ -16,11 +16,12 @@ on this choice.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
-from math import gcd, isqrt
-from typing import Iterable, Optional, Sequence
+from math import gcd, isqrt, log2
+from typing import Optional, Sequence
 
 from .errors import InexactDivisionError, ResourceLimitError, ValidationError
 from .gf import PrimePowerField, field
@@ -38,17 +39,15 @@ _EXACT_SPACE_BITS = 14_284
 #: about 1.1 s to build and print in a fresh CLI process.
 DEFAULT_ORDER_BITS_CAP = 200_000
 
-#: Refuse prime ranges reaching past this.  The sieve holds one byte
-#: per integer of the range, but the cost that binds is downstream:
-#: `d_tower_rows` runs one `is_prime` (trial division up to the square
-#: root) per prime, so the work grows like cap^1.5 / log(cap).  A whole
-#: `congruence exponents --n 2` process over the primes 5..10^6 takes
-#: 5.0-5.7 s, 3.4 s of it in `is_prime` (2-vCPU VM, Python 3.11).
+#: Refuse prime ranges reaching past this.  The sieve holds one byte per
+#: integer of the range, and `d_tower_rows` takes a few microseconds per
+#: prime: a whole `congruence exponents --n 2` process over the primes
+#: 5..10^6 takes 1.5-1.7 s, 0.4 s of it in `is_prime` (2-vCPU VM, Python 3.11).
 DEFAULT_PRIME_CAP = 10**6
 
-#: Trial division gives up past this divisor, so it decides every
-#: integer below its square (about 10^12) and refuses larger cofactors
-#: with no smaller factor.
+#: Trial division gives up past this divisor.  `factorize` refuses a
+#: cofactor above its square (about 10^12) with no smaller factor, and
+#: `is_prime` such an n at or above the last of `_SPRP_BOUNDS`.
 MAX_TRIAL_DIVISOR = 1 << 20
 
 
@@ -116,19 +115,80 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+#: The strong-probable-prime test to the first k prime bases decides
+#: every n below the least strong pseudoprime to all of them, the bound
+#: at the same place as k in `_SPRP_COUNTS` (Pomerance-Selfridge-Wagstaff
+#: 1980, Jaeschke 1993, Sorenson-Webster 2017).
+_SPRP_BOUNDS = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+    3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981,
+)
+_SPRP_COUNTS = (1, 2, 3, 4, 5, 6, 7, 9, 12, 13)
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and _least_divisor(n) == n
+    """Exact primality: a deterministic strong-probable-prime test below
+    the last of `_SPRP_BOUNDS`, bounded trial division at or above it."""
+    i = bisect_right(_SPRP_BOUNDS, n)
+    if i == len(_SPRP_BOUNDS):
+        return _least_divisor(n) == n
+    if n < 4:
+        return n > 1
+    # Every base is below n here, and one that divides n fails: then
+    # a^d mod n shares that factor with n, so it is never 1 or n - 1.
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _SPRP_BASES[:_SPRP_COUNTS[i]]:
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) by Newton's method on ints: one step from any seed
+    x > 0 lands at or above it, and the steps then fall to it."""
+    def step(x: int) -> int:
+        return ((k - 1) * x + n // x ** (k - 1)) // k
+
+    s = max(n.bit_length() // k - 52, 0)
+    x = step(int(2 ** (log2(n) / k - s)) + 1 << s)
+    while (y := step(x)) < x:
+        x = y
+    return x
 
 
 def prime_power_base(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p^e, or raise if q is not a prime power."""
+    """Return (p, e) with q = p^e, or raise if q is not a prime power.
+
+    A prime q below the last of `_SPRP_BOUNDS` takes one test; any other
+    q is reduced to r^e, e maximal, by exact roots, and r is tested.
+    """
     if q < 2:
         raise ValidationError(f"{q} is not a prime power")
-    fact = factorize(q)
-    if len(fact) != 1:
+    if q < _SPRP_BOUNDS[-1] and is_prime(q):
+        return q, 1
+    r, e = q, 1
+    for k in _sieve(2, q.bit_length()):
+        while r >> k:  # a k-th root of r would be at least 2
+            # A k-th root below 2^40 is within 0.01 of the float 2^t: the
+            # error of log2(r) is about 2^-52 * k * t, so that of 2^t is
+            # about 2^-52 * t * 2^t.  Most candidates fail on the low bits.
+            t = log2(r) / k
+            x = round(2**t) if t < 40 else _iroot(r, k)
+            if pow(x, k, 1 << 64) != r % (1 << 64) or x**k != r:
+                break
+            r, e = x, e * k
+    if not is_prime(r):
         raise ValidationError(f"{q} is not a prime power")
-    [(p, e)] = fact.items()
-    return p, e
+    return r, e
 
 
 def primes_in_range(lo: int, hi: int, cap: int = DEFAULT_PRIME_CAP) -> list[int]:
@@ -140,6 +200,10 @@ def primes_in_range(lo: int, hi: int, cap: int = DEFAULT_PRIME_CAP) -> list[int]
         raise ResourceLimitError(
             f"prime range up to {hi} exceeds the cap {cap}", space=hi, cap=cap
         )
+    return _sieve(lo, hi)
+
+
+def _sieve(lo: int, hi: int) -> list[int]:
     lo = max(lo, 2)
     if hi < lo:
         return []
@@ -167,27 +231,18 @@ def sl2_order(n: int) -> GroupOrder:
     """|SL_2(Z/N)| = N^3 * prod_(p | N) (1 - p^-2), exactly."""
     if n < 2:
         raise ValidationError(f"modulus must be >= 2, got {n}")
-    return GroupOrder(GroupFamily.SL2_ZN, 2, n, _sl2_count(n, factorize(n)),
-                      Method.FORMULA)
-
-
-def _sl2_count(n: int, prime_divisors: Iterable[int]) -> int:
     num = n**3
     den = 1
-    for p in prime_divisors:
+    for p in factorize(n):
         num *= p * p - 1
         den *= p * p
-    return _exact_ratio(num, den, "sl2_order")
+    return GroupOrder(GroupFamily.SL2_ZN, 2, n, _exact_ratio(num, den, "sl2_order"),
+                      Method.FORMULA)
 
 
 def psl2_order(n: int) -> int:
     """|PSL_2(Z/N)|: the SL_2 order divided by |{+-1} mod N|."""
-    return _psl2_count(n, sl2_order(n).order)
-
-
-def _psl2_count(n: int, sl2: int) -> int:
-    center = 2 if n > 2 else 1
-    return _exact_ratio(sl2, center, "psl2_order")
+    return _exact_ratio(sl2_order(n).order, 2 if n > 2 else 1, "psl2_order")
 
 
 def sl_order(m: int, q: int) -> GroupOrder:
@@ -207,20 +262,17 @@ def u_order(m: int, q: int) -> GroupOrder:
     return _field_order(GroupFamily.U, m, q)
 
 
-def _u_count(m: int, q: int) -> int:
-    order = q ** (m * (m - 1) // 2)
-    for i in range(1, m + 1):
-        order *= q**i - (-1) ** i
-    return order
-
-
 def su_order(m: int, q: int) -> GroupOrder:
-    """|SU_m(F_q)| = |U_m(F_q)| / (q + 1)."""
+    """|SU_m(F_q)| = |U_m(F_q)| / (q + 1), the product without its i = 1
+    factor q + 1."""
     return _field_order(GroupFamily.SU, m, q)
 
 
 def _su_count(m: int, q: int) -> int:
-    return _exact_ratio(_u_count(m, q), q + 1, "su_order")
+    order = q ** (m * (m - 1) // 2)
+    for i in range(2, m + 1):
+        order *= q**i - (-1) ** i
+    return order
 
 
 def unitriangular_u_order(m: int, q: int) -> GroupOrder:
@@ -230,7 +282,7 @@ def unitriangular_u_order(m: int, q: int) -> GroupOrder:
 
 _FIELD_COUNTS = {
     GroupFamily.SL: _sl_count,
-    GroupFamily.U: _u_count,
+    GroupFamily.U: lambda m, q: (q + 1) * _su_count(m, q),
     GroupFamily.SU: _su_count,
     GroupFamily.UNITRIANGULAR_U: lambda m, q: q ** (m * (m - 1) // 2),
 }
@@ -468,11 +520,7 @@ def cusp_index_proxy(n: int, q: int) -> int:
         raise ValidationError(f"only n = 2 and n = 3 are modeled, got {n}")
     if not is_prime(q):
         raise ValidationError(f"q must be prime, got {q}")
-    return _cusp_index(n, q, _su_count(n + 1, q))
-
-
-def _cusp_index(n: int, q: int, su_total: int) -> int:
-    return _exact_ratio(su_total, q ** (2 * n - 1), "cusp_index_proxy")
+    return _exact_ratio(_su_count(n + 1, q), q ** (2 * n - 1), "cusp_index_proxy")
 
 
 @dataclass(frozen=True)
@@ -504,8 +552,10 @@ def d_tower_rows(n: int, g: int,
                  primes: Sequence[int]) -> list[tuple[DTowerDatum, int]]:
     """`d_tower_series` with each datum paired with its |PSL_2(F_q)|.
 
-    Each q is tested for primality once, and the orders are then taken
-    from the closed forms for a prime q without factoring it again.
+    Each q takes one primality test and one evaluation of each closed
+    form for a prime q: vol = |SU(n+1, q)| as a product, cusps = vol /
+    q^(2n-1) (q^(2n-1) divides its power of q), and |PSL_2(F_q)| =
+    q(q^2 - 1) / gcd(2, q - 1).
     """
     if n not in (2, 3):
         raise ValidationError(f"only n = 2 and n = 3 are modeled, got {n}")
@@ -520,12 +570,7 @@ def d_tower_rows(n: int, g: int,
         if not is_prime(q):
             raise ValidationError(f"{q} is not prime")
         vol = _su_count(n + 1, q)
-        psl2 = _psl2_count(q, _sl2_count(q, (q,)))
-        datum = DTowerDatum(
-            q=q,
-            vol_proxy=vol,
-            b1_proxy=2 + (2 * g - 2) * psl2,
-            cusp_proxy=_cusp_index(n, q, vol),
-        )
+        psl2 = q * (q * q - 1) // gcd(2, q - 1)
+        datum = DTowerDatum(q, vol, 2 + (2 * g - 2) * psl2, vol // q ** (2 * n - 1))
         out.append((datum, psl2))
     return out

@@ -7,10 +7,10 @@ on input).  Emitted documents are canonical: sorted keys, two-space
 indent, trailing newline; reports round-trip byte-identically.
 
 `dumps_canonical` writes any document through `json.dumps`, whose
-indented form runs the pure-Python encoder.  `dumps_tower_report` writes
-the fixed shape of a tower report directly, from one template per set of
-cusp names, and returns the same bytes as
-`dumps_canonical(tower_report_to_json(report))`.
+indented form runs the pure-Python encoder.  `dumps_tower_report` and
+`dumps_d_tower` write the fixed shapes of a tower report and of a
+`congruence dtower` series directly, with the same bytes as
+`dumps_canonical` of those documents.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import prod
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
+from .counts import DTowerDatum
 from .errors import ResourceLimitError, ValidationError
 from .lattice import AbelianHom, FiniteAbelianGroup, IntMatrix
 from .towers import (
@@ -326,6 +327,16 @@ def dumps_tower_report(report: TowerReport) -> str:
         total = "null" if lv.total_cusps is None else lv.total_cusps
         levels.append(f'{text}      "total_cusps": {total}\n    }}')
     return '{\n  "levels": [\n' + ",\n".join(levels) + "\n  ]\n}\n"
+
+
+def dumps_d_tower(n: int, genus: int, series: Sequence[DTowerDatum]) -> str:
+    """`dumps_canonical` of {"n", "genus", "series": [{"q", "vol", "b1",
+    "cusps"}, ...]}, written directly."""
+    rows = ",\n".join(
+        f'    {{\n      "b1": {d.b1_proxy},\n      "cusps": {d.cusp_proxy},\n'
+        f'      "q": {d.q},\n      "vol": {d.vol_proxy}\n    }}' for d in series)
+    rows = f"[\n{rows}\n  ]" if series else "[]"
+    return f'{{\n  "genus": {genus},\n  "n": {n},\n  "series": {rows}\n}}\n'
 
 
 def c_tower_report_to_json(levels: list[CTowerLevel]) -> dict:

@@ -456,11 +456,20 @@ class TestCongruenceCommands:
         assert resource_record(*run_cli(capsys, *argv, "511"))["space"] == 512
 
     def test_orders_unfactorable_q_exits_3(self, capsys):
+        # 2^89 - 1 is prime, above the strong-probable-prime bounds and
+        # without a factor below the trial bound.
         code, out, err = run_cli(
             capsys, "congruence", "orders", "--family", "SL", "--m", "2",
-            "--q", str(2**61 - 1),
+            "--q", str(2**89 - 1),
         )
         assert resource_record(code, out, err)["cap"] == 1 << 20
+
+    def test_orders_of_a_prime_past_the_trial_bound(self, capsys):
+        q = 2**61 - 1
+        code, out, err = run_cli(capsys, "congruence", "orders", "--family", "SL",
+                                 "--m", "2", "--q", str(q), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"][0]["order"] == q * (q * q - 1)
 
     @pytest.mark.parametrize("sub", ["exponents", "dtower"])
     def test_prime_max_above_default_cap_exits_3(self, capsys, sub):

@@ -31,12 +31,14 @@ from cuspgrowth import (
     unitriangular_u_order,
 )
 from cuspgrowth.counts import (
+    _SPRP_BOUNDS,
     MAX_TRIAL_DIVISOR,
     _affine_solutions,
     _last_column_cofactors,
     factorize,
     is_prime,
     order_formula,
+    prime_power_base,
 )
 from cuspgrowth.gf import PrimePowerField, field
 
@@ -63,6 +65,16 @@ SMALL_FIELDS = [
     for n in range(1, 9) if p**n <= 256
 ]
 
+
+#: Carmichael numbers: the first ten, and (6k + 1)(12k + 1)(18k + 1) for
+#: k with all three factors prime, up to about 1.3 * 10^24.
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341] + [
+    (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+    for k in (1, 6, 35, 45, 51, 55, 56, 100_291, 1_000_051, 10_000_146)
+]
+
+#: Primes within 3,000 of 2^20, whose products are semiprimes near 2^40.
+NEAR_2_20 = primes_in_range(2**20 - 3000, 2**20 + 3000, cap=2**21)
 
 #: GF(2), GF(4), GF(5), GF(9) and GF(25).
 AFFINE_FIELDS = [(2, 1), (2, 2), (5, 1), (3, 2), (5, 2)]
@@ -286,6 +298,16 @@ class TestDTower:
         with pytest.raises(ValidationError, match="not prime"):
             d_tower_series(2, 2, [6])
 
+    def test_rows_match_the_order_functions(self):
+        primes = primes_in_range(2, 5000)
+        for n in (2, 3):
+            for g in (2, 5):
+                for d, psl2 in d_tower_rows(n, g, primes):
+                    assert d.vol_proxy == su_order(n + 1, d.q).order
+                    assert d.cusp_proxy == cusp_index_proxy(n, d.q)
+                    assert psl2 == psl2_order(d.q)
+                    assert d.b1_proxy == 2 + (2 * g - 2) * psl2
+
     def test_genus_guard(self):
         with pytest.raises(ValidationError, match="genus"):
             d_tower_series(2, 1, [5])
@@ -398,8 +420,60 @@ class TestPrimality:
         with pytest.raises(ResourceLimitError) as err:
             factorize(big)
         assert err.value.cap == MAX_TRIAL_DIVISOR
+        assert is_prime(big)
+        with pytest.raises(ResourceLimitError) as err:
+            is_prime(2**89 - 1)  # prime, above every strong-probable-prime bound
+        assert err.value.cap == MAX_TRIAL_DIVISOR
+
+    def test_is_prime_matches_the_sieve(self):
+        n = 200_000
+        primes = set(primes_in_range(2, n))
+        assert [k for k in range(-20, n) if is_prime(k)] == sorted(primes)
+
+    def test_is_prime_matches_sympy_around_each_bound(self):
+        sympy = pytest.importorskip("sympy")
+        # Past the last bound is trial division, whose refusals of numbers
+        # without a small factor take about 0.05 s each.
+        for bound in _SPRP_BOUNDS:
+            above = 2001 if bound < _SPRP_BOUNDS[-1] else 0
+            for n in range(bound - 2000, bound + above):
+                assert is_prime(n) == sympy.isprime(n), n
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(2, _SPRP_BOUNDS[-1] - 1)
+           | st.builds(lambda a, b: a * b, st.sampled_from(NEAR_2_20), st.sampled_from(NEAR_2_20))
+           | st.sampled_from(CARMICHAEL))
+    @example(_SPRP_BOUNDS[-1] - 1)
+    def test_is_prime_matches_sympy_below_the_last_bound(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert is_prime(n) == sympy.isprime(n)
+
+    def test_pseudoprimes_at_the_bounds(self):
+        assert [is_prime(n) for n in CARMICHAEL] == [False] * len(CARMICHAEL)
+        assert not is_prime(318_665_857_834_031_151_167_461)
         with pytest.raises(ResourceLimitError):
-            is_prime(big)
+            is_prime(3_317_044_064_679_887_385_961_981)
+
+    def test_prime_power_base_matches_factorize(self):
+        for q in range(-3, 1 << 16):
+            fact = factorize(q) if q >= 1 else {}
+            if len(fact) == 1:
+                assert prime_power_base(q) == next(iter(fact.items())), q
+            else:
+                with pytest.raises(ValidationError):
+                    prime_power_base(q)
+
+    def test_prime_power_base_takes_roots(self):
+        p = 2**61 - 1
+        for k in range(1, 40):
+            assert prime_power_base(p**k) == (p, k)
+        assert prime_power_base(3**500) == (3, 500)
+        # 3^100 + 3 * 2^64 agrees with 3^100 in its low 64 bits.
+        for q in (3**500 * 5, 2**89 - 2, (2**61 - 1) ** 2 * 3, 3**100 + 3 * 2**64):
+            with pytest.raises(ValidationError):
+                prime_power_base(q)
+        with pytest.raises(ResourceLimitError):  # not a power, no factor below 2^20
+            prime_power_base((2**61 - 1) * (2**31 - 1))
 
     def test_prime_range_cap(self):
         with pytest.raises(ResourceLimitError) as err:

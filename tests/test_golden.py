@@ -114,7 +114,7 @@ REFUSALS = {
                         "--cap", "511"],
     "sl2_zn_brute_over": [*ORDERS, "SL2_ZN", "--m", "2", "--q", "100", "--method", "brute",
                           "--cap", "99999999"],
-    "trial_division": [*ORDERS, "SL", "--m", "2", "--q", str(2**61 - 1)],
+    "trial_division": [*ORDERS, "SL2_ZN", "--m", "2", "--q", str(2**61 - 1)],
     "exponents_default": ["congruence", "exponents", *PRIMES],
     "exponents_lifted": ["congruence", "exponents", *PRIMES, "--cap", "1000050"],
     "exponents_over": ["congruence", "exponents", *PRIMES, "--cap", "1000049"],

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cuspgrowth import (
     HIRZEBRUCH,
     AbelianHom,
+    DTowerDatum,
     FiniteAbelianGroup,
     IntMatrix,
     ValidationError,
@@ -21,6 +22,7 @@ from cuspgrowth.serialize import (
     base_from_json,
     base_to_json,
     dumps_canonical,
+    dumps_d_tower,
     dumps_tower_report,
     level_report_to_json,
     matrix_from_json,
@@ -232,6 +234,24 @@ class TestTowerReportWriter:
         assert '"cusp_multiplicities": {},' in text
         assert text.index('"factoring_fibration"') < text.index('"note"') < text.index(
             '"total_cusps"')
+
+
+class TestDTowerWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-5, 5), st.integers(-5, 10**6),
+           st.lists(st.builds(DTowerDatum, *[st.integers(1, 10**40) | st.just(HUGE)] * 4),
+                    max_size=5))
+    def test_writes_the_canonical_bytes(self, n, genus, series):
+        doc = {
+            "n": n,
+            "genus": genus,
+            "series": [
+                {"q": d.q, "vol": d.vol_proxy, "b1": d.b1_proxy, "cusps": d.cusp_proxy}
+                for d in series
+            ],
+        }
+        with _any_int_digits():
+            assert dumps_d_tower(n, genus, series) == dumps_canonical(doc)
 
 
 class TestBaseJson:
