@@ -18,12 +18,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, product
 from math import gcd, isqrt, log2
 from typing import Optional, Sequence
 
-from .errors import InexactDivisionError, ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .gf import PrimePowerField, field
 
 #: Refuse brute-force searches whose raw matrix space exceeds this.
@@ -218,15 +217,6 @@ def _sieve(lo: int, hi: int) -> list[int]:
     return list(compress(range(lo, hi + 1), segment))
 
 
-def _exact_ratio(num: int, den: int, context: str) -> int:
-    if num % den != 0:
-        raise InexactDivisionError(
-            f"{context}: expected an exact integer, got {Fraction(num, den)}",
-            ratio=Fraction(num, den),
-        )
-    return num // den
-
-
 def sl2_order(n: int) -> GroupOrder:
     """|SL_2(Z/N)| = N^3 * prod_(p | N) (1 - p^-2), exactly."""
     if n < 2:
@@ -236,13 +226,14 @@ def sl2_order(n: int) -> GroupOrder:
     for p in factorize(n):
         num *= p * p - 1
         den *= p * p
-    return GroupOrder(GroupFamily.SL2_ZN, 2, n, _exact_ratio(num, den, "sl2_order"),
-                      Method.FORMULA)
+    # Exact: den = prod p^2 divides n^2, so it divides n^3.
+    return GroupOrder(GroupFamily.SL2_ZN, 2, n, num // den, Method.FORMULA)
 
 
 def psl2_order(n: int) -> int:
     """|PSL_2(Z/N)|: the SL_2 order divided by |{+-1} mod N|."""
-    return _exact_ratio(sl2_order(n).order, 2 if n > 2 else 1, "psl2_order")
+    # Exact: -I has order 2 in SL_2(Z/N) for N > 2, so the order is even.
+    return sl2_order(n).order // (2 if n > 2 else 1)
 
 
 def sl_order(m: int, q: int) -> GroupOrder:
@@ -520,7 +511,8 @@ def cusp_index_proxy(n: int, q: int) -> int:
         raise ValidationError(f"only n = 2 and n = 3 are modeled, got {n}")
     if not is_prime(q):
         raise ValidationError(f"q must be prime, got {q}")
-    return _exact_ratio(_su_count(n + 1, q), q ** (2 * n - 1), "cusp_index_proxy")
+    # Exact: q^(n(n+1)/2) divides |SU(n+1, q)| and 2n - 1 <= n(n+1)/2.
+    return _su_count(n + 1, q) // q ** (2 * n - 1)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class CuspGrowthError(Exception):
     """Base class for all errors raised by this package."""
@@ -26,14 +24,3 @@ class ResourceLimitError(CuspGrowthError, RuntimeError):
         super().__init__(message)
         self.space = space
         self.cap = cap
-
-
-class InexactDivisionError(CuspGrowthError, ArithmeticError):
-    """An exact integer division was expected but the quotient is fractional.
-
-    Carries the exact rational so callers can report it verbatim.
-    """
-
-    def __init__(self, message: str, ratio: Fraction):
-        super().__init__(message)
-        self.ratio = ratio

@@ -8,9 +8,10 @@ generating sets and homomorphisms to the trivial group have honest
 representations.
 
 One elimination, `_smith_eliminate`, works in place on plain lists of
-rows.  Only `smith_normal_form` asks it for transforms; the internal
-callers need a diagonal or an order, run it on the bare rows of
-[diag(d) | generators], and build no intermediate `IntMatrix`.
+rows, for `smith_normal_form` and `cokernel`.  An index needs none:
+`_index` folds the factors' congruences one by one into the relation
+lattice of the generators, kept modulo the exponent (Cohen, GTM 138,
+section 2.4), in O(r c min(r, c)) for r factors and c generators.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
@@ -221,24 +222,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     )
 
 
-def _cokernel_diagonal(factors: Sequence[int], gen_rows: Iterable[Sequence[int]]) -> list[int]:
-    """Smith diagonal of [diag(factors) | gen_rows]: the invariant
-    factors of the quotient of (+) Z/d_i by the generators, units kept.
-
-    `gen_rows` has one row per factor; each column is a generator.  A
-    single factor (a cyclic group Z/d) needs no elimination: its
-    quotient is Z/gcd(d, generators).
-    """
-    s = len(factors)
-    if s == 1:
-        (row,) = gen_rows
-        return [gcd(factors[0], *row)]
-    m = [[d if j == i else 0 for j in range(s)] + list(row)
-         for i, (d, row) in enumerate(zip(factors, gen_rows))]
-    _smith_eliminate(m, s, len(m[0]) if m else 0)
-    return [m[i][i] for i in range(s)]
-
-
 def _product_rows(rows: Iterable[Sequence[int]],
                   cols: Sequence[Sequence[int]]) -> list[list[int]]:
     """The rows of `rows` @ B, as plain lists, for B given by its columns."""
@@ -246,9 +229,51 @@ def _product_rows(rows: Iterable[Sequence[int]],
 
 
 def _index(factors: Sequence[int], image_rows: Iterable[Sequence[int]]) -> int:
-    """Index in (+) Z/d_i of the subgroup spanned by the columns of
-    `image_rows` (one row per factor)."""
-    return prod(_cokernel_diagonal(factors, image_rows))
+    """Index in G = (+) Z/d_i, d_1 | ... | d_r, of the subgroup that the
+    c columns g_j of `image_rows` (one row per factor) span.
+
+    That is |G| / [Z^c : L] for L = {x : sum_j x_j g_j = 0 in G}, cut
+    from Z^c by one congruence per factor.  Each fold is a Euclid pass
+    leaving one generator of L with value v mod d_i and the rest with 0;
+    it multiplies the index by g = gcd(d_i, v) and that generator by
+    d_i / g.  e Z^c lies in L for e = d_r, so entries are kept mod e.
+    For c >= r a generator x is held as its image sum_j x_j g_j, whose
+    value is coordinate i, not row i dotted with x: O(r c min(r, c)).
+    """
+    rows = list(image_rows)
+    c = len(rows[0]) if rows else 0
+    if c < len(factors):
+        gens = [[int(j == k) for j in range(c)] for k in range(c)]
+        reads = [lambda x, row=row: sum(map(mul, row, x)) for row in rows]
+    else:
+        gens = [list(col) for col in zip(*rows)]
+        reads = [itemgetter(i) for i in range(len(factors))]
+    e = factors[-1] if factors else 1
+    index = 1
+    for d, read in zip(factors, reads):
+        kept, pivot, p = [], None, 0
+        for x in gens:
+            v = read(x) % d
+            if not v:
+                kept.append(x)
+            elif pivot is None:
+                pivot, p = x, v
+            elif v % p == 0:
+                kept.append([(b - v // p * a) % e for a, b in zip(pivot, x)])
+            else:
+                # s p + t v = g = gcd(p, v): the unimodular pair
+                # (s x_p + t x, (v/g) x_p - (p/g) x) has values (g, 0).
+                g = gcd(p, v)
+                s = pow(p // g, -1, v // g)
+                t = (g - s * p) // v
+                kept.append([(v // g * a - p // g * b) % e for a, b in zip(pivot, x)])
+                pivot, p = [(s * a + t * b) % e for a, b in zip(pivot, x)], g
+        g = gcd(d, p)
+        index *= g
+        if pivot is not None:
+            kept.append([d // g * a % e for a in pivot])
+        gens = [x for x in kept if any(x)]
+    return index
 
 
 def _kills(factors: Sequence[int], image_rows: Iterable[Sequence[int]]) -> bool:
@@ -341,9 +366,11 @@ def cokernel(target: FiniteAbelianGroup, generators: IntMatrix) -> FiniteAbelian
             f"generator matrix has {generators.rows} rows but the target "
             f"has {target.rank} invariant factors"
         )
-    return FiniteAbelianGroup(
-        tuple(_cokernel_diagonal(target.invariant_factors, generators.entries))
-    )
+    s = target.rank
+    m = [[d if j == i else 0 for j in range(s)] + list(row)
+         for i, (d, row) in enumerate(zip(target.invariant_factors, generators.entries))]
+    _smith_eliminate(m, s, s + generators.cols)
+    return FiniteAbelianGroup(tuple(m[i][i] for i in range(s)))
 
 
 def _image_rows(rho: AbelianHom, sublattice: IntMatrix) -> list[list[int]]:

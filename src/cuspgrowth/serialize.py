@@ -39,11 +39,6 @@ from .weights import IntStatus, PairWitness, WeightTuple
 #: JSON sentinel for a level with no applicable b1 bound.
 UNBOUNDED = "UNBOUNDED_BY_METHOD"
 
-#: Refuse spec levels whose deck group has more non-unit cyclic factors
-#: than this.  Analysis is cubic in the rank: a level of (Z/m)^64 takes
-#: 0.08-0.11 s, (Z/m)^100 0.25-0.32 s (2-vCPU VM, Python 3.11).
-MAX_LEVEL_RANK = 64
-
 
 def dumps_canonical(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -134,22 +129,16 @@ def hom_from_json(
     `images` row per listed factor, row i read modulo d_i.  A factor 1
     is dropped with its row, which is zero modulo 1.
 
-    The deck group is refused before any row is parsed when more than
-    `MAX_LEVEL_RANK` of the d_i are above 1, or when its order has more
-    than `cap` bits.  The order has at least sum(bits(d_i) - 1) + 1 bits
-    over those d_i; when that bound is above the cap it is what the
-    refusal reports, and the exact bit length is taken only below it."""
+    The deck group is refused before any row is parsed when its order
+    has more than `cap` bits.  The order has at least
+    sum(bits(d_i) - 1) + 1 bits over the d_i above 1; when that bound is
+    above the cap it is what the refusal reports, and the exact bit
+    length is taken only below it.  Each such d_i adds at least one bit,
+    so the cap also bounds the rank."""
     moduli_what = f"{what}.invariant_factors"
     moduli = [_parse_int(x, moduli_what)
               for x in _array(_member(data, "invariant_factors", what), moduli_what)]
     factors = [m for m in moduli if m > 1]
-    if len(factors) > MAX_LEVEL_RANK:
-        raise ResourceLimitError(
-            f"{what}: the deck group has {len(factors)} non-trivial cyclic factors, "
-            f"above the bound of {MAX_LEVEL_RANK}",
-            len(factors),
-            MAX_LEVEL_RANK,
-        )
     bits = sum(m.bit_length() - 1 for m in factors) + 1
     exact = bits <= cap
     if exact:

@@ -19,7 +19,9 @@ images row and of each kernel's slice.  The cusp's index is gcd(d, g),
 the cover is connected iff gcd(d, g) == 1 for the images row, and a
 kernel dies iff d divides its g.  Levels with two or more invariant
 factors, or none, take the indices and kernel tests of the cached
-product's slices from `_index` and `_kills` instead.
+product's slices from `_index` and `_kills` instead.  `_index` folds one
+congruence per factor into the relation lattice of a slice's columns, at
+most the base rank of them, so a level costs time linear in its rows.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspgrowth import counts, sl_order
+from cuspgrowth import HIRZEBRUCH, counts, sl_order
 from cuspgrowth.cli import _any_int_digits, main
 
 
@@ -365,6 +365,23 @@ class TestTowerSizeGuards:
         assert code == 0 and err == ""
         assert f'"degree": {decimal(a * a)},' in out
 
+    def test_rank400_spec_is_analyzed(self, capsys):
+        code, out, err = run_cli(capsys, "tower", "analyze", "--spec", RANK400_SPEC,
+                                 "--format", "json")
+        assert code == 0 and err == ""
+        (level,) = json.loads(out)["levels"]
+        assert level["degree"] == 2**400
+        images = [[int(x) for x in row]
+                  for row in json.loads(Path(RANK400_SPEC).read_text())["levels"][0]["images"]]
+        for cusp in HIRZEBRUCH.cusps:
+            # Each of the cusp's two image columns as a bit mask of its 400
+            # coordinates mod 2; two distinct nonzero masks are independent.
+            masks = {sum((sum(a * s for a, s in zip(row, col)) % 2) << i
+                         for i, row in enumerate(images))
+                     for col in cusp.sublattice.columns()}
+            f2_rank = len(masks - {0})
+            assert level["cusp_multiplicities"][cusp.name] == 2**400 // 2**f2_rank
+
     @pytest.mark.parametrize("text", ["[" + "7" * 5000 + "]", b"\xff\xfe{"],
                              ids=["overlong-int", "not-utf8"])
     def test_unreadable_spec_json_exits_2(self, tmp_path, capsys, text):
@@ -653,7 +670,7 @@ COMMAND_FLAGS = {
     ("congruence", "dtower"): ["--n", "--genus", "--prime-min", "--prime-max"],
     (): [], ("dm",): [], ("tower",): [], ("bogus",): [], ("dm", "bogus"): [],
 }
-#: A level of deck group (Z/2)^400, past the rank bound of spec levels.
+#: A level of deck group (Z/2)^400, whose analysis the bits cap admits.
 RANK400_SPEC = str(Path(__file__).parent / "golden" / "rank400_spec.json")
 #: Values for each flag, valid ones kept small so that an accepted run
 #: stays cheap (a brute-force SL_3(F_4) is the largest), and some at the

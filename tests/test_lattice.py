@@ -1,4 +1,7 @@
 import random
+from itertools import accumulate
+from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +18,7 @@ from cuspgrowth import (
     kernel_contains,
     smith_normal_form,
 )
-from cuspgrowth.lattice import _cokernel_diagonal, _smith_eliminate
+from cuspgrowth.lattice import _index, _smith_eliminate
 from oracles import det_cofactor, minor_gcd_diagonal, subgroup_elements
 
 
@@ -231,10 +234,10 @@ E = IntMatrix.identity(4).columns()
 
 
 def eliminated_diagonal(d, row):
-    """The one-row Smith diagonal by the general elimination."""
+    """The one-row Smith diagonal entry by the general elimination."""
     m = [[d] + list(row)]
     _smith_eliminate(m, 1, len(m[0]))
-    return [m[0][0]]
+    return m[0][0]
 
 
 class TestOneRowCokernel:
@@ -250,7 +253,7 @@ class TestOneRowCokernel:
         (2**1999 * 3, [-(2**1500) * 9, 2**1800 * 15, 0]),
     ])
     def test_gcd_equals_elimination(self, d, row):
-        assert _cokernel_diagonal([d], [row]) == eliminated_diagonal(d, row)
+        assert _index([d], [row]) == eliminated_diagonal(d, row)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -262,7 +265,72 @@ class TestOneRowCokernel:
     def test_gcd_equals_elimination_property(self, d, row, shift):
         # Scaling by 2^shift makes the entries share large factors.
         d, row = d << shift, [x << shift for x in row]
-        assert _cokernel_diagonal([d], [row]) == eliminated_diagonal(d, row)
+        assert _index([d], [row]) == eliminated_diagonal(d, row)
+
+
+def divisor_chains(max_rank, max_order=None):
+    """Invariant factors d_1 | d_2 | ... of rank 1 to `max_rank`, each
+    step a factor 1, 2, 3 or 5, cut to the longest prefix of order at
+    most `max_order`."""
+    def chain(first, steps):
+        factors = list(accumulate(steps, mul, initial=first))
+        while max_order is not None and prod(factors) > max_order:
+            factors.pop()
+        return factors
+
+    return st.builds(chain, st.integers(min_value=2, max_value=12),
+                     st.lists(st.sampled_from([1, 1, 2, 3, 5]), max_size=max_rank - 1))
+
+
+def image_rows(data, factors, c):
+    """One row of `c` entries in -40..40 per factor."""
+    entries = st.integers(min_value=-40, max_value=40)
+    return [[data.draw(entries) for _ in range(c)] for _ in factors]
+
+
+class TestIndexFold:
+    """`_index` by the relation-lattice fold, against the order of the
+    Smith cokernel of [diag(d) | A] and against closure counts, with c
+    columns on both sides of the rank r."""
+
+    @staticmethod
+    def smith_order(factors, rows):
+        r = len(factors)
+        block = [[d if j == i else 0 for j in range(r)] + row
+                 for i, (d, row) in enumerate(zip(factors, rows))]
+        return prod(smith_normal_form(IntMatrix.from_rows(block)).diagonal)
+
+    @settings(max_examples=60, deadline=None)
+    @given(divisor_chains(64), st.integers(min_value=0, max_value=6), st.data())
+    def test_few_columns_equal_the_smith_order(self, factors, c, data):
+        rows = image_rows(data, factors, c)
+        assert _index(factors, rows) == self.smith_order(factors, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(divisor_chains(12), st.data())
+    def test_many_columns_equal_the_smith_order(self, factors, data):
+        r = len(factors)
+        rows = image_rows(data, factors, data.draw(st.integers(min_value=r + 1,
+                                                               max_value=3 * r)))
+        assert _index(factors, rows) == self.smith_order(factors, rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(divisor_chains(13, max_order=10_000), st.data())
+    def test_index_times_closure_is_the_order(self, factors, data):
+        r = len(factors)
+        c = data.draw(st.integers(min_value=0, max_value=3 * r))
+        rows = image_rows(data, factors, c)
+        group = FiniteAbelianGroup(tuple(factors))
+        subgroup = subgroup_elements(group, zip(*rows)) if c else {()}
+        assert _index(factors, rows) * len(subgroup) == group.order
+
+    def test_both_sides_on_one_subgroup(self):
+        # (1, 2) has order 6 in Z/6 (+) Z/12, so <(1, 2)> has index 12,
+        # spanned by three columns (c > r) or by one (c < r).
+        assert _index([6, 12], [[1, 2, 3], [2, 4, 6]]) == 12
+        assert _index([6, 12], [[1], [2]]) == 12
+        assert _index([6, 12], [[], []]) == 72
+        assert _index([], []) == 1
 
 
 class TestAbelianHomReduction:

@@ -17,7 +17,6 @@ from cuspgrowth import (
 )
 from cuspgrowth.errors import ResourceLimitError
 from cuspgrowth.serialize import (
-    MAX_LEVEL_RANK,
     UNBOUNDED,
     base_from_json,
     base_to_json,
@@ -127,17 +126,14 @@ def cyclic_level(moduli):
 
 
 class TestSpecLevelBounds:
-    def test_rank_at_the_bound_is_analyzed(self):
-        spec = tower_spec_from_json({"base": "hirzebruch",
-                                     "levels": [cyclic_level([2] * MAX_LEVEL_RANK)]})
-        assert spec.levels[0].target.invariant_factors == (2,) * MAX_LEVEL_RANK
-
-    def test_rank_past_the_bound_is_refused(self):
-        doc = {"base": "hirzebruch", "levels": [cyclic_level([3]),
-                                                cyclic_level([2] * (MAX_LEVEL_RANK + 1))]}
-        with pytest.raises(ResourceLimitError, match=r"levels\[1\]: .* 65 non-trivial") as info:
-            tower_spec_from_json(doc, cap=10**9)
-        assert (info.value.space, info.value.cap) == (MAX_LEVEL_RANK + 1, MAX_LEVEL_RANK)
+    def test_rank_is_bounded_by_the_bits_cap(self):
+        # Each factor above 1 adds a bit: (Z/2)^400 has an order of 401 bits.
+        doc = {"base": "hirzebruch", "levels": [cyclic_level([3]), cyclic_level([2] * 400)]}
+        with pytest.raises(ResourceLimitError, match=r"levels\[1\]: .* at least 401 bits") as info:
+            tower_spec_from_json(doc, cap=400)
+        assert (info.value.space, info.value.cap) == (401, 400)
+        spec = tower_spec_from_json(doc, cap=401)
+        assert spec.levels[1].target.invariant_factors == (2,) * 400
 
     def test_bits_past_the_cap_are_refused_from_the_bound(self):
         # 7^5 has 15 bits; the bound 5 * (3 - 1) + 1 = 11 is already past 10.
