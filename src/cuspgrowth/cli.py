@@ -68,8 +68,7 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -274,7 +273,7 @@ def _congruence_exponents(ns: argparse.Namespace) -> Rendered:
     primes = counts.primes_in_range(lo, hi, **_cap(ns))
     if len(primes) < 2:
         raise ValidationError(f"need at least 2 primes in [{lo}, {hi}], got {len(primes)}")
-    records = exponent_checks(ns.n, ns.genus, primes, ns.tolerance)
+    records = exponent_checks(ns.n, ns.genus, primes, ns.tolerance, **_cap(ns))
     doc = {
         "n": ns.n,
         "genus": ns.genus,
@@ -295,7 +294,7 @@ def _congruence_dtower(ns: argparse.Namespace) -> Rendered:
     primes = counts.primes_in_range(lo, hi, **_cap(ns))
     if not primes:
         raise ValidationError(f"no primes in [{lo}, {hi}]")
-    series = counts.d_tower_series(ns.n, ns.genus, primes)
+    series = counts.d_tower_series(ns.n, ns.genus, primes, **_cap(ns))
     return (partial(dumps_d_tower, ns.n, ns.genus, series),
             lambda: (["q", "vol", "b1", "cusps"],
                      [[d.q, d.vol_proxy, d.b1_proxy, d.cusp_proxy] for d in series]))

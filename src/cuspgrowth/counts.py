@@ -38,10 +38,11 @@ _EXACT_SPACE_BITS = 14_284
 #: about 1.1 s to build and print in a fresh CLI process.
 DEFAULT_ORDER_BITS_CAP = 200_000
 
-#: Refuse prime ranges reaching past this.  The sieve holds one byte per
-#: integer of the range, and `d_tower_rows` takes a few microseconds per
-#: prime: a whole `congruence exponents --n 2` process over the primes
-#: 5..10^6 takes 1.5-1.7 s, 0.4 s of it in `is_prime` (2-vCPU VM, Python 3.11).
+#: Refuse prime ranges, and D-tower primes, reaching past this.  Each
+#: sieve holds one byte per integer of its range, and `d_tower_columns`
+#: takes about 1.5 microseconds per prime: a whole `congruence exponents`
+#: process over the primes 5..10^6 takes about 0.5 s, and to 10^7 2-3 s
+#: at a peak RSS near 390 MiB (2-vCPU VM, Python 3.11).
 DEFAULT_PRIME_CAP = 10**6
 
 #: Trial division gives up past this divisor.  `factorize` refuses a
@@ -195,17 +196,26 @@ def primes_in_range(lo: int, hi: int, cap: int = DEFAULT_PRIME_CAP) -> list[int]
 
     Refuses when hi exceeds `cap`.
     """
+    _check_prime_cap(hi, cap)
+    return _sieve(lo, hi)
+
+
+def _check_prime_cap(hi: int, cap: int) -> None:
     if hi > cap:
         raise ResourceLimitError(
             f"prime range up to {hi} exceeds the cap {cap}", space=hi, cap=cap
         )
-    return _sieve(lo, hi)
 
 
 def _sieve(lo: int, hi: int) -> list[int]:
     lo = max(lo, 2)
+    return list(compress(range(lo, hi + 1), _prime_flags(lo, hi)))
+
+
+def _prime_flags(lo: int, hi: int) -> bytearray:
+    """One byte per integer of [lo, hi], lo >= 2: 1 at each prime, else 0."""
     if hi < lo:
-        return []
+        return bytearray()
     root = isqrt(hi)
     small = bytearray([1]) * (root + 1)
     segment = bytearray([1]) * (hi - lo + 1)
@@ -214,7 +224,7 @@ def _sieve(lo: int, hi: int) -> list[int]:
             small[d * d::d] = bytes(len(range(d * d, root + 1, d)))
             start = max(d * d, -(-lo // d) * d)
             segment[start - lo::d] = bytes(len(range(start, hi + 1, d)))
-    return list(compress(range(lo, hi + 1), segment))
+    return segment
 
 
 def sl2_order(n: int) -> GroupOrder:
@@ -525,44 +535,70 @@ class DTowerDatum:
     cusp_proxy: int
 
     def __post_init__(self):
-        if min(self.q, self.vol_proxy, self.b1_proxy, self.cusp_proxy) < 1:
+        if (self.q < 1 or self.vol_proxy < 1 or self.b1_proxy < 1
+                or self.cusp_proxy < 1):
             raise ValidationError("tower datum entries must all be positive")
 
 
-def d_tower_series(n: int, g: int, primes: Sequence[int]) -> list[DTowerDatum]:
+def d_tower_series(n: int, g: int, primes: Sequence[int],
+                   cap: int = DEFAULT_PRIME_CAP) -> list[DTowerDatum]:
     """Congruence-tower proxies over a list of distinct primes.
 
     vol is |SU(n+1, F_q)| (the covering degree up to a constant), b1 is
     2 + (2g - 2) * |PSL_2(F_q)| (the retraction-target curve cover), and
     cusps is vol / q^(2n-1) (one modeled cusp; constants do not affect
-    exponents).
+    exponents).  Refuses a prime above `cap`, as `d_tower_columns` does.
     """
-    return [datum for datum, _ in d_tower_rows(n, g, primes)]
+    return list(map(DTowerDatum, *d_tower_columns(n, g, primes, cap)[:4]))
 
 
-def d_tower_rows(n: int, g: int,
-                 primes: Sequence[int]) -> list[tuple[DTowerDatum, int]]:
-    """`d_tower_series` with each datum paired with its |PSL_2(F_q)|.
+def d_tower_columns(
+    n: int, g: int, primes: Sequence[int], cap: int = DEFAULT_PRIME_CAP
+) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """The columns q, vol, b1, cusps and |PSL_2(F_q)| of `d_tower_series`.
 
-    Each q takes one primality test and one evaluation of each closed
-    form for a prime q: vol = |SU(n+1, q)| as a product, cusps = vol /
-    q^(2n-1) (q^(2n-1) divides its power of q), and |PSL_2(F_q)| =
-    q(q^2 - 1) / gcd(2, q - 1).
+    One sieve over [min, max] of `primes` checks them all in one pass,
+    marking each prime as it is seen; it holds one byte per integer of
+    that span, however few primes the list holds, so a largest prime
+    above `cap` is refused first.  Each closed form is
+    then evaluated once per q, with c = vol / q^(2n-1):
+
+    * n = 2: c = (q^2 - 1)(q^3 + 1) and vol = q^3 c;
+    * n = 3: c = q (q^2 - 1)(q^3 + 1)(q^4 - 1) and vol = q^5 c;
+    * |PSL_2(F_q)| = q(q^2 - 1) / gcd(2, q - 1).
     """
     if n not in (2, 3):
         raise ValidationError(f"only n = 2 and n = 3 are modeled, got {n}")
     if g < 2:
         raise ValidationError(f"retraction target has genus >= 2, got {g}")
-    seen = set()
-    out = []
-    for q in primes:
-        if q in seen:
-            raise ValidationError(f"primes must be distinct, {q} repeats")
-        seen.add(q)
-        if not is_prime(q):
+    qs = list(primes)
+    if not qs:
+        return [], [], [], [], []
+    hi = max(qs)
+    _check_prime_cap(hi, cap)
+    lo = max(min(qs), 2)
+    # 1 marks a prime not yet seen, 2 one already seen, 0 a non-prime.
+    flags = _prime_flags(lo, hi)
+    for q in qs:
+        i = q - lo
+        if i < 0 or flags[i] != 1:
+            if i >= 0 and flags[i]:
+                raise ValidationError(f"primes must be distinct, {q} repeats")
             raise ValidationError(f"{q} is not prime")
-        vol = _su_count(n + 1, q)
-        psl2 = q * (q * q - 1) // gcd(2, q - 1)
-        datum = DTowerDatum(q, vol, 2 + (2 * g - 2) * psl2, vol // q ** (2 * n - 1))
-        out.append((datum, psl2))
-    return out
+        flags[i] = 2
+    vol, b1, cusps, psl2 = [], [], [], []
+    k = 2 * g - 2
+    for q in qs:
+        s = q * q
+        if n == 2:
+            c = (s - 1) * (s * q + 1)
+            v = s * q * c
+        else:
+            c = q * (s - 1) * (s * q + 1) * (s * s - 1)
+            v = s * s * q * c
+        p = q * (s - 1) // gcd(2, q - 1)
+        vol.append(v)
+        b1.append(2 + k * p)
+        cusps.append(c)
+        psl2.append(p)
+    return qs, vol, b1, cusps, psl2

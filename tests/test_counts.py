@@ -19,8 +19,9 @@ from cuspgrowth import (
     ValidationError,
     brute_force_order,
     cusp_index_proxy,
-    d_tower_rows,
+    d_tower_columns,
     d_tower_series,
+    exponent_checks,
     fit_exponent,
     primes_in_range,
     psl2_order,
@@ -30,6 +31,7 @@ from cuspgrowth import (
     u_order,
     unitriangular_u_order,
 )
+from cuspgrowth import counts
 from cuspgrowth.counts import (
     _SPRP_BOUNDS,
     MAX_TRIAL_DIVISOR,
@@ -279,18 +281,16 @@ class TestDTower:
         )
         assert series[1].q == 7
 
-    def test_rows_pair_each_datum_with_its_psl2_order(self):
+    def test_columns_hold_the_series_and_each_psl2_order(self):
         primes = [2, 3, 5, 7, 11, 101]
         for n in (2, 3):
-            rows = d_tower_rows(n, 3, primes)
-            assert [d for d, _ in rows] == d_tower_series(n, 3, primes)
-            for d, psl2 in rows:
-                assert psl2 == psl2_order(d.q)
-                assert d.b1_proxy == 2 + 4 * psl2
-                assert d.vol_proxy == su_order(n + 1, d.q).order
-                assert d.cusp_proxy == cusp_index_proxy(n, d.q)
+            q, vol, b1, cusps, psl2 = d_tower_columns(n, 3, primes)
+            assert q == primes
+            assert list(map(DTowerDatum, q, vol, b1, cusps)) == d_tower_series(n, 3, primes)
+            assert psl2 == [psl2_order(p) for p in primes]
+            assert b1 == [2 + 4 * p for p in psl2]
         with pytest.raises(ValidationError, match="not prime"):
-            d_tower_rows(2, 2, [5, 9])
+            d_tower_columns(2, 2, [5, 9])
 
     def test_distinct_primes_required(self):
         with pytest.raises(ValidationError, match="distinct"):
@@ -298,19 +298,78 @@ class TestDTower:
         with pytest.raises(ValidationError, match="not prime"):
             d_tower_series(2, 2, [6])
 
-    def test_rows_match_the_order_functions(self):
+    @pytest.mark.parametrize("primes, message", [
+        ([5, 7, 5], "primes must be distinct, 5 repeats"),
+        ([7, 3, 11, 3], "primes must be distinct, 3 repeats"),
+        ([5, 9, 7], "9 is not prime"),
+        ([5, 7, 1001], "1001 is not prime"),
+        ([0, 5], "0 is not prime"),
+        ([5, 1], "1 is not prime"),
+        ([1], "1 is not prime"),
+        ([5, -7], "-7 is not prime"),
+        ([-3], "-3 is not prime"),
+        # The first offending value in the given order is the one named.
+        ([5, 9, 5, 1], "9 is not prime"),
+        ([5, 5, 9], "primes must be distinct, 5 repeats"),
+        ([7, -2, 7], "-2 is not prime"),
+    ])
+    def test_bad_primes_are_refused(self, primes, message):
+        for n in (2, 3):
+            with pytest.raises(ValidationError) as err:
+                d_tower_columns(n, 2, primes)
+            assert str(err.value) == message
+
+    def test_largest_prime_above_the_cap_is_refused(self):
+        with pytest.raises(ResourceLimitError) as err:
+            d_tower_columns(2, 2, [5, 103, 7], cap=102)
+        assert (err.value.space, err.value.cap) == (103, 102)
+        assert d_tower_columns(2, 2, [5, 101], cap=101)[0] == [5, 101]
+        with pytest.raises(ResourceLimitError):
+            d_tower_series(2, 2, [1_000_003])
+        assert d_tower_series(2, 2, [1_000_003], cap=1_000_003)[0].q == 1_000_003
+        # The cap comes before the prime checks, which need the sieve.
+        with pytest.raises(ResourceLimitError):
+            d_tower_columns(3, 2, [9, 5, 5, 2**61 - 1])
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_datum_entries_must_be_positive(self, field):
+        for bad in (0, -1):
+            entries = [5, 10, 20, 30]
+            entries[field] = bad
+            with pytest.raises(ValidationError, match="positive"):
+                DTowerDatum(*entries)
+        assert DTowerDatum(1, 1, 1, 1).q == 1
+
+    def test_empty_primes_give_empty_columns(self):
+        assert d_tower_columns(2, 2, []) == ([], [], [], [], [])
+        assert d_tower_series(3, 2, []) == []
+
+    def test_columns_match_the_order_functions(self):
         primes = primes_in_range(2, 5000)
         for n in (2, 3):
             for g in (2, 5):
-                for d, psl2 in d_tower_rows(n, g, primes):
-                    assert d.vol_proxy == su_order(n + 1, d.q).order
-                    assert d.cusp_proxy == cusp_index_proxy(n, d.q)
-                    assert psl2 == psl2_order(d.q)
-                    assert d.b1_proxy == 2 + (2 * g - 2) * psl2
+                q, vol, b1, cusps, psl2 = d_tower_columns(n, g, primes)
+                assert q == primes
+                assert vol == [su_order(n + 1, p).order for p in primes]
+                assert cusps == [cusp_index_proxy(n, p) for p in primes]
+                assert psl2 == [psl2_order(p) for p in primes]
+                assert b1 == [2 + (2 * g - 2) * psl2_order(p) for p in primes]
+
+    def test_columns_do_not_test_primality_one_by_one(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("is_prime was called")
+
+        monkeypatch.setattr(counts, "is_prime", refuse)
+        assert d_tower_columns(3, 2, primes_in_range(5, 500))[0][-1] == 499
+        assert len(exponent_checks(2, 2, primes_in_range(5, 500))) == 5
+        with pytest.raises(ValidationError, match="not prime"):
+            d_tower_columns(2, 2, [5, 21])
 
     def test_genus_guard(self):
         with pytest.raises(ValidationError, match="genus"):
             d_tower_series(2, 1, [5])
+        with pytest.raises(ValidationError, match="n = 2 and n = 3"):
+            d_tower_columns(4, 2, [5])
 
     def test_exponents_land_on_targets(self):
         primes = primes_in_range(5, 199)

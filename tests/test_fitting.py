@@ -1,12 +1,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspgrowth import (
     ValidationError,
+    d_tower_series,
     exponent_checks,
     fit_exponent,
     match_verdict,
+    psl2_order,
     su_order,
 )
 from cuspgrowth import fitting
@@ -101,7 +105,7 @@ class TestExponentChecks:
         def series(*args):
             raise AssertionError("the D-tower series was built")
 
-        monkeypatch.setattr(fitting, "d_tower_rows", series)
+        monkeypatch.setattr(fitting, "d_tower_columns", series)
         with pytest.raises(ValidationError, match="finite"):
             exponent_checks(2, 2, self.PRIMES, tolerance)
 
@@ -109,3 +113,26 @@ class TestExponentChecks:
         records = exponent_checks(2, 2, self.PRIMES, 1e-9)
         assert all(r["tolerance"] == 1e-9 for r in records)
         assert any(r["verdict"] == "MISMATCH" for r in records)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([2, 3]), st.integers(2, 6))
+    def test_slopes_equal_fit_exponent_bit_for_bit(self, data, n, genus):
+        primes = data.draw(st.lists(st.sampled_from(primes_in_range(2, 5000)),
+                                    min_size=2, max_size=200, unique=True))
+        if data.draw(st.booleans()):
+            primes.sort()
+        series = d_tower_series(n, genus, primes)
+        pairs = [
+            [(d.q, d.vol_proxy) for d in series],
+            [(d.q, psl2_order(d.q)) for d in series],
+            [(d.q, d.cusp_proxy) for d in series],
+            [(d.vol_proxy, d.b1_proxy) for d in series],
+            [(d.vol_proxy, d.cusp_proxy) for d in series],
+        ]
+        records = exponent_checks(n, genus, primes)
+        assert [r["slope"] for r in records] == [fit_exponent(p).slope for p in pairs]
+        assert all(r["points"] == len(primes) for r in records)
+
+    def test_one_prime_is_too_few_points(self):
+        with pytest.raises(ValidationError, match="at least 2 points, got 1"):
+            exponent_checks(2, 2, [5])
