@@ -294,10 +294,9 @@ def _congruence_dtower(ns: argparse.Namespace) -> Rendered:
     primes = counts.primes_in_range(lo, hi, **_cap(ns))
     if not primes:
         raise ValidationError(f"no primes in [{lo}, {hi}]")
-    series = counts.d_tower_series(ns.n, ns.genus, primes, **_cap(ns))
-    return (partial(dumps_d_tower, ns.n, ns.genus, series),
-            lambda: (["q", "vol", "b1", "cusps"],
-                     [[d.q, d.vol_proxy, d.b1_proxy, d.cusp_proxy] for d in series]))
+    columns = counts.d_tower_columns(ns.n, ns.genus, primes, **_cap(ns))[:4]
+    return (partial(dumps_d_tower, ns.n, ns.genus, columns),
+            lambda: (["q", "vol", "b1", "cusps"], list(zip(*columns))))
 
 
 def _render(ns: argparse.Namespace, rendered: Rendered) -> str:

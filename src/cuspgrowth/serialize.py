@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import prod
 from typing import Any, Optional, Sequence
 
-from .counts import DTowerDatum
 from .errors import ResourceLimitError, ValidationError
 from .lattice import AbelianHom, FiniteAbelianGroup, IntMatrix
 from .towers import (
@@ -318,13 +317,17 @@ def dumps_tower_report(report: TowerReport) -> str:
     return '{\n  "levels": [\n' + ",\n".join(levels) + "\n  ]\n}\n"
 
 
-def dumps_d_tower(n: int, genus: int, series: Sequence[DTowerDatum]) -> str:
+def dumps_d_tower(n: int, genus: int, columns: Sequence[Sequence[int]]) -> str:
     """`dumps_canonical` of {"n", "genus", "series": [{"q", "vol", "b1",
-    "cusps"}, ...]}, written directly."""
+    "cusps"}, ...]}, written directly from the columns q, vol, b1 and
+    cusps of `counts.d_tower_columns`.  Every entry must be positive, as
+    in a `counts.DTowerDatum`."""
+    if any(column and min(column) < 1 for column in columns):
+        raise ValidationError("tower datum entries must all be positive")
     rows = ",\n".join(
-        f'    {{\n      "b1": {d.b1_proxy},\n      "cusps": {d.cusp_proxy},\n'
-        f'      "q": {d.q},\n      "vol": {d.vol_proxy}\n    }}' for d in series)
-    rows = f"[\n{rows}\n  ]" if series else "[]"
+        f'    {{\n      "b1": {b1},\n      "cusps": {cusps},\n'
+        f'      "q": {q},\n      "vol": {vol}\n    }}' for q, vol, b1, cusps in zip(*columns))
+    rows = f"[\n{rows}\n  ]" if rows else "[]"
     return f'{{\n  "genus": {genus},\n  "n": {n},\n  "series": {rows}\n}}\n'
 
 

@@ -673,9 +673,9 @@ COMMAND_FLAGS = {
 #: A level of deck group (Z/2)^400, whose analysis the bits cap admits.
 RANK400_SPEC = str(Path(__file__).parent / "golden" / "rank400_spec.json")
 #: Values for each flag, valid ones kept small so that an accepted run
-#: stays cheap (a brute-force SL_3(F_4) is the largest), and some at the
-#: scale of a refusal: m = 100, a 1,100-digit q, depth 10^7 and the
-#: rank-400 spec.
+#: stays cheap (a brute-force U_3(F_2), about 8 ms, is the slowest), and
+#: some at the scale of a refusal: m = 100, a 1,100-digit q, depth 10^7
+#: and the rank-400 spec.
 VALUES = {
     "--format": ["json", "csv", "table"],
     "--cap": ["1", "100", "100000"],

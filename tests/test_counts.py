@@ -36,7 +36,8 @@ from cuspgrowth.counts import (
     _SPRP_BOUNDS,
     MAX_TRIAL_DIVISOR,
     _affine_solutions,
-    _last_column_cofactors,
+    _laplace_plan,
+    _wedge,
     factorize,
     is_prime,
     order_formula,
@@ -405,18 +406,62 @@ class TestKernelsAgainstOracles:
             assert brute_force_order(GroupFamily.SL2_ZN, 2, n).order == oracles.sl2_zn_count(n)
 
     @pytest.mark.parametrize("p,n,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2),
-                                       (3, 1, 3), (2, 2, 3), (3, 1, 4)])
+                                       (3, 1, 3), (2, 2, 3), (3, 1, 4), (2, 1, 5)])
     def test_cofactors_give_the_determinant(self, p, n, m):
+        """The exterior product of a prefix, one `_wedge` step per column,
+        lists its minors on every row subset; it is 0 from a dependent
+        column on; and on m - 1 columns it gives the cofactor row of the
+        last column, whose dot product with any x is det(prefix | x)."""
         f = field(p, n)
+        plan = _laplace_plan(m)
         rng = random.Random(f"{p}:{n}:{m}")
-        for _ in range(20):
-            cols = [tuple(rng.randrange(f.size) for _ in range(m)) for _ in range(m - 1)]
-            cofactors = _last_column_cofactors(f, cols)
-            for x in itertools.product(range(f.size), repeat=m):
-                dot = 0
-                for c, xi in zip(cofactors, x):
-                    dot = oracles.digit_add(f, dot, f.mul(c, xi))
-                assert dot == oracles.field_det(f, cols + [x])
+        vectors = list(itertools.product(range(f.size), repeat=m))
+        for trial in range(20):
+            cols = [rng.choice(vectors) for _ in range(m)]
+            dependent = m
+            if trial % 4 == 0:  # column `dependent` combines the earlier ones
+                dependent = rng.randrange(m)
+                c = rng.randrange(f.size)
+                cols[dependent] = tuple(
+                    f.add(x, f.mul(c, y)) for x, y in zip(cols[dependent - 1], cols[0])
+                ) if dependent else (0,) * m
+            minors = (1,)
+            for k, col in enumerate(cols):
+                if k == m - 1:
+                    row = [f.neg(minors[s]) if negative else minors[s]
+                           for _, s, negative in plan[k][0]]
+                    assert [t for t, _, _ in plan[k][0]] == list(range(m))
+                    for x in rng.sample(vectors, min(len(vectors), 30)) + [col]:
+                        dot = 0
+                        for c, xi in zip(row, x):
+                            dot = oracles.digit_add(f, dot, f.mul(c, xi))
+                        assert dot == oracles.field_det(f, cols[:k] + [x])
+                minors = tuple(v[0] for v in _wedge(f, plan[k], minors, [[x] for x in col]))
+                prefix = cols[:k + 1]
+                expected = [oracles.field_det(f, [[c[i] for i in rows] for c in prefix])
+                            for rows in itertools.combinations(range(m), k + 1)]
+                assert list(minors) == expected
+                if k >= dependent:
+                    assert not any(minors)
+
+    def test_wedge_takes_every_candidate_at_once(self):
+        f, m = field(3, 1), 3
+        plan = _laplace_plan(m)
+        vectors = list(itertools.product(range(f.size), repeat=m))
+        coords = [list(c) for c in zip(*vectors)]
+        minors = tuple(v[0] for v in _wedge(f, plan[0], (1,), [[1], [2], [0]]))
+        together = list(zip(*_wedge(f, plan[1], minors, coords)))
+        one_by_one = [tuple(v[0] for v in _wedge(f, plan[1], minors, [[x] for x in v]))
+                      for v in vectors]
+        assert together == one_by_one
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(AFFINE_FIELDS), st.integers(1, 4), st.data())
+    def test_one_equation_has_a_hyperplane_of_solutions(self, p_n, m, data):
+        f = field(*p_n)
+        c = data.draw(st.lists(st.integers(0, f.size - 1), min_size=m, max_size=m))
+        expected = f.size ** (m - 1) if any(c) else 0
+        assert len(_affine_solutions(f, m, [(c, 1)])) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(affine_systems())
@@ -452,6 +497,14 @@ class TestKernelsAgainstOracles:
 
     def test_sl_3_3(self):
         assert brute_force_order(GroupFamily.SL, 3, 3).order == oracles.group_order("SL", 3, 3)
+
+    @pytest.mark.parametrize("m,q", [(5, 2), (4, 3)])
+    def test_largest_sl_spaces_under_the_default_cap(self, m, q):
+        # 2^25 and 3^16 candidate matrices; the plain search of
+        # `oracles.count_sl` would take minutes on either.
+        start = time.perf_counter()
+        assert brute_force_order(GroupFamily.SL, m, q).order == sl_order(m, q).order
+        assert time.perf_counter() - start < 10.0
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-20, 3000), st.integers(-20, 3000))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cuspgrowth import (
     HIRZEBRUCH,
     AbelianHom,
-    DTowerDatum,
     FiniteAbelianGroup,
     IntMatrix,
     ValidationError,
@@ -235,19 +234,24 @@ class TestTowerReportWriter:
 class TestDTowerWriter:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-5, 5), st.integers(-5, 10**6),
-           st.lists(st.builds(DTowerDatum, *[st.integers(1, 10**40) | st.just(HUGE)] * 4),
-                    max_size=5))
-    def test_writes_the_canonical_bytes(self, n, genus, series):
+           st.lists(st.tuples(*[st.integers(1, 10**40) | st.just(HUGE)] * 4), max_size=5))
+    def test_writes_the_canonical_bytes(self, n, genus, rows):
         doc = {
             "n": n,
             "genus": genus,
-            "series": [
-                {"q": d.q, "vol": d.vol_proxy, "b1": d.b1_proxy, "cusps": d.cusp_proxy}
-                for d in series
-            ],
+            "series": [{"q": q, "vol": vol, "b1": b1, "cusps": cusps}
+                       for q, vol, b1, cusps in rows],
         }
+        columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
         with _any_int_digits():
-            assert dumps_d_tower(n, genus, series) == dumps_canonical(doc)
+            assert dumps_d_tower(n, genus, columns) == dumps_canonical(doc)
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_entries_must_be_positive(self, column):
+        columns = [[5, 7], [10, 20], [3, 4], [1, 2]]
+        columns[column][1] = 0
+        with pytest.raises(ValidationError, match="must all be positive"):
+            dumps_d_tower(2, 2, columns)
 
 
 class TestBaseJson:
