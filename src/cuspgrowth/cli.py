@@ -270,14 +270,11 @@ def _congruence_orders(ns: argparse.Namespace) -> Rendered:
 
 def _congruence_exponents(ns: argparse.Namespace) -> Rendered:
     lo, hi = ns.prime_min, ns.prime_max
-    primes = counts.primes_in_range(lo, hi, **_cap(ns))
-    if len(primes) < 2:
-        raise ValidationError(f"need at least 2 primes in [{lo}, {hi}], got {len(primes)}")
-    records = exponent_checks(ns.n, ns.genus, primes, ns.tolerance, **_cap(ns))
+    records = exponent_checks(ns.n, ns.genus, lo, hi, ns.tolerance, **_cap(ns))
     doc = {
         "n": ns.n,
         "genus": ns.genus,
-        "primes": {"min": lo, "max": hi, "count": len(primes)},
+        "primes": {"min": lo, "max": hi, "count": records[0]["points"]},
         "checks": records,
     }
     rows = [
@@ -290,11 +287,8 @@ def _congruence_exponents(ns: argparse.Namespace) -> Rendered:
 
 
 def _congruence_dtower(ns: argparse.Namespace) -> Rendered:
-    lo, hi = ns.prime_min, ns.prime_max
-    primes = counts.primes_in_range(lo, hi, **_cap(ns))
-    if not primes:
-        raise ValidationError(f"no primes in [{lo}, {hi}]")
-    columns = counts.d_tower_columns(ns.n, ns.genus, primes, **_cap(ns))[:4]
+    columns = counts.d_tower_columns(ns.n, ns.genus, ns.prime_min, ns.prime_max,
+                                     **_cap(ns))[:4]
     return (partial(dumps_d_tower, ns.n, ns.genus, columns),
             lambda: (["q", "vol", "b1", "cusps"], list(zip(*columns))))
 

@@ -12,6 +12,10 @@ The hermitian form for the unitary families is fixed as the antidiagonal
 (split) form, so that the strictly upper-triangular unitary matrices
 form the Heisenberg-type unipotent subgroup; group orders do not depend
 on this choice.
+
+The congruence-tower columns come from one kernel that trusts its
+primes: `d_tower_columns` takes them from one sieve of a range,
+`d_tower_series` from a list whose entries `is_prime` checks.
 """
 
 from __future__ import annotations
@@ -43,11 +47,13 @@ _EXACT_SPACE_BITS = 14_284
 #: about 1.1 s to build and print in a fresh CLI process.
 DEFAULT_ORDER_BITS_CAP = 200_000
 
-#: Refuse prime ranges, and D-tower primes, reaching past this.  Each
-#: sieve holds one byte per integer of its range, and `d_tower_columns`
-#: takes about 1.5 microseconds per prime: a whole `congruence exponents`
-#: process over the primes 5..10^6 takes about 0.5 s, and to 10^7 2-3 s
-#: at a peak RSS near 390 MiB (2-vCPU VM, Python 3.11).
+#: Refuse prime ranges reaching past this: the sieve holds one byte per
+#: integer of its range.  `d_tower_columns` and `exponent_checks` sieve
+#: their range once under it, and then take about 1.5 microseconds per
+#: prime: a whole `congruence exponents` process over the primes 5..10^6
+#: takes about 0.5 s, and to 10^7 2-3 s at a peak RSS near 390 MiB
+#: (2-vCPU VM, Python 3.11).  A list given to `d_tower_series` is checked
+#: by `is_prime` and has no cap.
 DEFAULT_PRIME_CAP = 10**6
 
 #: Trial division gives up past this divisor.  `factorize` refuses a
@@ -201,15 +207,11 @@ def primes_in_range(lo: int, hi: int, cap: int = DEFAULT_PRIME_CAP) -> list[int]
 
     Refuses when hi exceeds `cap`.
     """
-    _check_prime_cap(hi, cap)
-    return _sieve(lo, hi)
-
-
-def _check_prime_cap(hi: int, cap: int) -> None:
     if hi > cap:
         raise ResourceLimitError(
             f"prime range up to {hi} exceeds the cap {cap}", space=hi, cap=cap
         )
+    return _sieve(lo, hi)
 
 
 def _sieve(lo: int, hi: int) -> list[int]:
@@ -596,28 +598,47 @@ class DTowerDatum:
             raise ValidationError("tower datum entries must all be positive")
 
 
-def d_tower_series(n: int, g: int, primes: Sequence[int],
-                   cap: int = DEFAULT_PRIME_CAP) -> list[DTowerDatum]:
+def d_tower_series(n: int, g: int, primes: Sequence[int]) -> list[DTowerDatum]:
     """Congruence-tower proxies over a list of distinct primes.
 
     vol is |SU(n+1, F_q)| (the covering degree up to a constant), b1 is
     2 + (2g - 2) * |PSL_2(F_q)| (the retraction-target curve cover), and
     cusps is vol / q^(2n-1) (one modeled cusp; constants do not affect
-    exponents).  Refuses a prime above `cap`, as `d_tower_columns` does.
+    exponents).  Each entry is checked by `is_prime` and then for a
+    repeat, in list order, so a sparse list of large primes costs its
+    length, not its span.
     """
-    return list(map(DTowerDatum, *d_tower_columns(n, g, primes, cap)[:4]))
+    qs = list(primes)
+    seen: set[int] = set()
+    for q in qs:
+        if not is_prime(q):
+            raise ValidationError(f"{q} is not prime")
+        if q in seen:
+            raise ValidationError(f"primes must be distinct, {q} repeats")
+        seen.add(q)
+    return list(map(DTowerDatum, *_d_tower_columns(n, g, qs)[:4]))
 
 
 def d_tower_columns(
-    n: int, g: int, primes: Sequence[int], cap: int = DEFAULT_PRIME_CAP
+    n: int, g: int, lo: int, hi: int, cap: int = DEFAULT_PRIME_CAP
 ) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
-    """The columns q, vol, b1, cusps and |PSL_2(F_q)| of `d_tower_series`.
+    """The columns q, vol, b1, cusps and |PSL_2(F_q)| of `d_tower_series`
+    over the primes in [lo, hi], from one sieve of `primes_in_range`.
 
-    One sieve over [min, max] of `primes` checks them all in one pass,
-    marking each prime as it is seen; it holds one byte per integer of
-    that span, however few primes the list holds, so a largest prime
-    above `cap` is refused first.  Each closed form is
-    then evaluated once per q, with c = vol / q^(2n-1):
+    Refuses an hi above `cap` first, then a range with no prime.
+    """
+    primes = primes_in_range(lo, hi, cap)
+    if not primes:
+        raise ValidationError(f"no primes in [{lo}, {hi}]")
+    return _d_tower_columns(n, g, primes)
+
+
+def _d_tower_columns(
+    n: int, g: int, qs: list[int]
+) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """The D-tower columns over `qs`, which the caller has checked to be
+    distinct primes; `qs` itself is the q column.  Each closed form is
+    evaluated once per q, with c = vol / q^(2n-1):
 
     * n = 2: c = (q^2 - 1)(q^3 + 1) and vol = q^3 c;
     * n = 3: c = q (q^2 - 1)(q^3 + 1)(q^4 - 1) and vol = q^5 c;
@@ -627,21 +648,6 @@ def d_tower_columns(
         raise ValidationError(f"only n = 2 and n = 3 are modeled, got {n}")
     if g < 2:
         raise ValidationError(f"retraction target has genus >= 2, got {g}")
-    qs = list(primes)
-    if not qs:
-        return [], [], [], [], []
-    hi = max(qs)
-    _check_prime_cap(hi, cap)
-    lo = max(min(qs), 2)
-    # 1 marks a prime not yet seen, 2 one already seen, 0 a non-prime.
-    flags = _prime_flags(lo, hi)
-    for q in qs:
-        i = q - lo
-        if i < 0 or flags[i] != 1:
-            if i >= 0 and flags[i]:
-                raise ValidationError(f"primes must be distinct, {q} repeats")
-            raise ValidationError(f"{q} is not prime")
-        flags[i] = 2
     vol, b1, cusps, psl2 = [], [], [], []
     k = 2 * g - 2
     for q in qs:

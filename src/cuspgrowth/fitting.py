@@ -4,7 +4,8 @@ congruence D-tower model.
 This is the only module that touches floating point; everything
 upstream is exact.  The fit is ordinary least squares of log y against
 log x (natural logs), which turns a power law y = C * x^a into slope a
-and intercept log C.
+and intercept log C.  `exponent_checks` sieves its prime range once and
+fits over the columns of the D-tower kernel in `counts`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .counts import DEFAULT_PRIME_CAP, d_tower_columns
+from .counts import DEFAULT_PRIME_CAP, _d_tower_columns, primes_in_range
 from .errors import ValidationError
 
 
@@ -38,7 +39,8 @@ def fit_exponent(pairs: Sequence[tuple[int, int]]) -> ExponentFit:
     All inputs must be positive; the residual is the sum of squared
     log-scale errors, zero (up to rounding) on a pure power law.
     """
-    _check_point_count(len(pairs))
+    if len(pairs) < 2:
+        raise ValidationError(f"need at least 2 points, got {len(pairs)}")
     for x, y in pairs:
         if x <= 0 or y <= 0:
             raise ValidationError(f"points must be positive, got ({x}, {y})")
@@ -51,11 +53,6 @@ def fit_exponent(pairs: Sequence[tuple[int, int]]) -> ExponentFit:
     residual = sum((b - intercept - slope * a) ** 2 for a, b in zip(lx, ly))
     return ExponentFit(slope=slope, intercept=intercept, residual=max(residual, 0.0),
                        points_used=len(pairs))
-
-
-def _check_point_count(n: int) -> None:
-    if n < 2:
-        raise ValidationError(f"need at least 2 points, got {n}")
 
 
 def _centre(logs: list[float]) -> tuple[float, list[float]]:
@@ -88,25 +85,29 @@ def match_verdict(slope: float, target: float, tolerance: float) -> str:
     return "MATCH" if abs(slope - target) <= tolerance else "MISMATCH"
 
 
-def exponent_checks(n: int, genus: int, primes: Sequence[int],
+def exponent_checks(n: int, genus: int, lo: int, hi: int,
                     tolerance: Optional[float] = None,
                     cap: int = DEFAULT_PRIME_CAP) -> list[dict]:
-    """Fitted growth exponents of the n-dimensional D tower over `primes`,
-    each checked against its model target.
+    """Fitted growth exponents of the n-dimensional D tower over the
+    primes in [lo, hi], each checked against its model target.
 
     One record per check, with the fitted slope, its point count, the
     target, the tolerance (per check unless `tolerance` overrides all)
     and a MATCH/MISMATCH verdict.  For n = 3 the cusps-vs-volume record
     also carries the stated vol^(2/5) rate and whether the fit diverges
-    from it.  `cap` bounds the largest prime, as in `d_tower_columns`.
+    from it.  The range is sieved once by `primes_in_range`, which
+    refuses an hi above `cap`; then come a range of fewer than 2 primes,
+    the tolerance, and n and the genus, in that order.
 
     Each slope is `fit_exponent`'s on the same pairs, bit for bit, but
     every column is logged and centred once, not once per check.
     """
+    primes = primes_in_range(lo, hi, cap)
+    if len(primes) < 2:
+        raise ValidationError(f"need at least 2 primes in [{lo}, {hi}], got {len(primes)}")
     if tolerance is not None:
         _check_tolerance(tolerance)  # before the series, which can take seconds
-    columns = d_tower_columns(n, genus, primes, cap)
-    _check_point_count(len(primes))
+    columns = _d_tower_columns(n, genus, primes)
     dq, dvol, db1, dcusps, dpsl2 = (_centre([math.log(v) for v in col])[1]
                                     for col in columns)
     sqq, svol = _spread(dq), _spread(dvol)

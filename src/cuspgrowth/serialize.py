@@ -320,10 +320,7 @@ def dumps_tower_report(report: TowerReport) -> str:
 def dumps_d_tower(n: int, genus: int, columns: Sequence[Sequence[int]]) -> str:
     """`dumps_canonical` of {"n", "genus", "series": [{"q", "vol", "b1",
     "cusps"}, ...]}, written directly from the columns q, vol, b1 and
-    cusps of `counts.d_tower_columns`.  Every entry must be positive, as
-    in a `counts.DTowerDatum`."""
-    if any(column and min(column) < 1 for column in columns):
-        raise ValidationError("tower datum entries must all be positive")
+    cusps of `counts.d_tower_columns`."""
     rows = ",\n".join(
         f'    {{\n      "b1": {b1},\n      "cusps": {cusps},\n'
         f'      "q": {q},\n      "vol": {vol}\n    }}' for q, vol, b1, cusps in zip(*columns))

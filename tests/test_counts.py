@@ -21,7 +21,6 @@ from cuspgrowth import (
     cusp_index_proxy,
     d_tower_columns,
     d_tower_series,
-    exponent_checks,
     fit_exponent,
     primes_in_range,
     psl2_order,
@@ -32,6 +31,7 @@ from cuspgrowth import (
     unitriangular_u_order,
 )
 from cuspgrowth import counts
+from cuspgrowth.cli import main
 from cuspgrowth.counts import (
     _SPRP_BOUNDS,
     MAX_TRIAL_DIVISOR,
@@ -283,15 +283,17 @@ class TestDTower:
         assert series[1].q == 7
 
     def test_columns_hold_the_series_and_each_psl2_order(self):
-        primes = [2, 3, 5, 7, 11, 101]
+        primes = primes_in_range(2, 101)
         for n in (2, 3):
-            q, vol, b1, cusps, psl2 = d_tower_columns(n, 3, primes)
+            q, vol, b1, cusps, psl2 = d_tower_columns(n, 3, 2, 101)
             assert q == primes
             assert list(map(DTowerDatum, q, vol, b1, cusps)) == d_tower_series(n, 3, primes)
             assert psl2 == [psl2_order(p) for p in primes]
             assert b1 == [2 + 4 * p for p in psl2]
-        with pytest.raises(ValidationError, match="not prime"):
-            d_tower_columns(2, 2, [5, 9])
+        for lo, hi in ((24, 28), (50, 5), (-5, 1)):
+            with pytest.raises(ValidationError) as err:
+                d_tower_columns(2, 2, lo, hi)
+            assert str(err.value) == f"no primes in [{lo}, {hi}]"
 
     def test_distinct_primes_required(self):
         with pytest.raises(ValidationError, match="distinct"):
@@ -317,20 +319,22 @@ class TestDTower:
     def test_bad_primes_are_refused(self, primes, message):
         for n in (2, 3):
             with pytest.raises(ValidationError) as err:
-                d_tower_columns(n, 2, primes)
+                d_tower_series(n, 2, primes)
             assert str(err.value) == message
 
     def test_largest_prime_above_the_cap_is_refused(self):
         with pytest.raises(ResourceLimitError) as err:
-            d_tower_columns(2, 2, [5, 103, 7], cap=102)
+            d_tower_columns(2, 2, 5, 103, cap=102)
         assert (err.value.space, err.value.cap) == (103, 102)
-        assert d_tower_columns(2, 2, [5, 101], cap=101)[0] == [5, 101]
+        assert d_tower_columns(2, 2, 5, 101, cap=101)[0][-1] == 101
+        # The cap comes before the range and the genus.
         with pytest.raises(ResourceLimitError):
-            d_tower_series(2, 2, [1_000_003])
-        assert d_tower_series(2, 2, [1_000_003], cap=1_000_003)[0].q == 1_000_003
-        # The cap comes before the prime checks, which need the sieve.
-        with pytest.raises(ResourceLimitError):
-            d_tower_columns(3, 2, [9, 5, 5, 2**61 - 1])
+            d_tower_columns(3, 1, 1_000_001, 1_000_002)
+
+    def test_listed_primes_have_no_cap(self):
+        series = d_tower_series(2, 2, [1_000_003, 2**61 - 1])
+        assert [d.q for d in series] == [1_000_003, 2**61 - 1]
+        assert series[1].vol_proxy == su_order(3, 2**61 - 1).order
 
     @pytest.mark.parametrize("field", range(4))
     def test_datum_entries_must_be_positive(self, field):
@@ -342,35 +346,50 @@ class TestDTower:
         assert DTowerDatum(1, 1, 1, 1).q == 1
 
     def test_empty_primes_give_empty_columns(self):
-        assert d_tower_columns(2, 2, []) == ([], [], [], [], [])
+        assert counts._d_tower_columns(2, 2, []) == ([], [], [], [], [])
         assert d_tower_series(3, 2, []) == []
 
     def test_columns_match_the_order_functions(self):
         primes = primes_in_range(2, 5000)
         for n in (2, 3):
             for g in (2, 5):
-                q, vol, b1, cusps, psl2 = d_tower_columns(n, g, primes)
+                q, vol, b1, cusps, psl2 = d_tower_columns(n, g, 2, 5000)
                 assert q == primes
                 assert vol == [su_order(n + 1, p).order for p in primes]
                 assert cusps == [cusp_index_proxy(n, p) for p in primes]
                 assert psl2 == [psl2_order(p) for p in primes]
                 assert b1 == [2 + (2 * g - 2) * psl2_order(p) for p in primes]
 
-    def test_columns_do_not_test_primality_one_by_one(self, monkeypatch):
+    def test_columns_do_not_test_primality_one_by_one(self, monkeypatch, capsys):
+        # Each CLI prime-range job sieves its range once and never calls
+        # `is_prime`: the sieve is its primality check.
+        sieves = []
+
         def refuse(n):
             raise AssertionError("is_prime was called")
 
+        def flags(lo, hi):
+            sieves.append((lo, hi))
+            return prime_flags(lo, hi)
+
+        prime_flags = counts._prime_flags
         monkeypatch.setattr(counts, "is_prime", refuse)
-        assert d_tower_columns(3, 2, primes_in_range(5, 500))[0][-1] == 499
-        assert len(exponent_checks(2, 2, primes_in_range(5, 500))) == 5
-        with pytest.raises(ValidationError, match="not prime"):
-            d_tower_columns(2, 2, [5, 21])
+        monkeypatch.setattr(counts, "_prime_flags", flags)
+        for sub in ("exponents", "dtower"):
+            for n in ("2", "3"):
+                for fmt in ("json", "csv", "table"):
+                    sieves.clear()
+                    argv = ["congruence", sub, "--n", n, "--prime-min", "5",
+                            "--prime-max", "500", "--format", fmt]
+                    assert main(argv) == 0, capsys.readouterr().err
+                    assert sieves == [(5, 500)], argv
+        assert "499" in capsys.readouterr().out
 
     def test_genus_guard(self):
         with pytest.raises(ValidationError, match="genus"):
             d_tower_series(2, 1, [5])
         with pytest.raises(ValidationError, match="n = 2 and n = 3"):
-            d_tower_columns(4, 2, [5])
+            d_tower_columns(4, 2, 5, 5)
 
     def test_exponents_land_on_targets(self):
         primes = primes_in_range(5, 199)

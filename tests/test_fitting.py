@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspgrowth import (
+    ResourceLimitError,
     ValidationError,
     d_tower_series,
     exponent_checks,
@@ -15,6 +16,8 @@ from cuspgrowth import (
 )
 from cuspgrowth import fitting
 from cuspgrowth.counts import primes_in_range
+
+PRIMES_TO_5000 = primes_in_range(2, 5000)
 
 
 class TestFitExponent:
@@ -67,10 +70,11 @@ class TestMatchVerdict:
 
 
 class TestExponentChecks:
-    PRIMES = primes_in_range(5, 199)
+    RANGE = (5, 199)
+    PRIMES = primes_in_range(*RANGE)
 
     def test_n2_targets_and_tolerances(self):
-        records = exponent_checks(2, 2, self.PRIMES)
+        records = exponent_checks(2, 2, *self.RANGE)
         assert [(r["name"], r["target"], r["tolerance"]) for r in records] == [
             ("su3_order_vs_q", 8.0, 0.05),
             ("psl2_order_vs_q", 3.0, 0.05),
@@ -83,7 +87,7 @@ class TestExponentChecks:
         assert all("stated_rate" not in r for r in records)
 
     def test_n3_flags_the_divergence_from_the_stated_rate(self):
-        records = {r["name"]: r for r in exponent_checks(3, 2, self.PRIMES)}
+        records = {r["name"]: r for r in exponent_checks(3, 2, *self.RANGE)}
         assert records["su4_order_vs_q"]["tolerance"] == 0.1
         cusps = records["cusps_vs_vol"]
         assert cusps["target"] == 10 / 15
@@ -97,7 +101,7 @@ class TestExponentChecks:
 
     def test_stated_rate_verdict_uses_the_tolerance(self):
         # Within a tolerance of 0.3, 2/3 and 2/5 no longer differ.
-        cusps = exponent_checks(3, 2, self.PRIMES, 0.3)[-1]
+        cusps = exponent_checks(3, 2, *self.RANGE, 0.3)[-1]
         assert cusps["stated_rate_verdict"] == "MATCHES_STATED_RATE"
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
@@ -105,22 +109,26 @@ class TestExponentChecks:
         def series(*args):
             raise AssertionError("the D-tower series was built")
 
-        monkeypatch.setattr(fitting, "d_tower_columns", series)
+        monkeypatch.setattr(fitting, "_d_tower_columns", series)
         with pytest.raises(ValidationError, match="finite"):
-            exponent_checks(2, 2, self.PRIMES, tolerance)
+            exponent_checks(2, 2, *self.RANGE, tolerance)
 
     def test_tolerance_overrides_every_check(self):
-        records = exponent_checks(2, 2, self.PRIMES, 1e-9)
+        records = exponent_checks(2, 2, *self.RANGE, 1e-9)
         assert all(r["tolerance"] == 1e-9 for r in records)
         assert any(r["verdict"] == "MISMATCH" for r in records)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from([2, 3]), st.integers(2, 6))
     def test_slopes_equal_fit_exponent_bit_for_bit(self, data, n, genus):
-        primes = data.draw(st.lists(st.sampled_from(primes_in_range(2, 5000)),
-                                    min_size=2, max_size=200, unique=True))
-        if data.draw(st.booleans()):
-            primes.sort()
+        # A range [lo, hi] within [2, 5000] holding the primes i..j of
+        # PRIMES_TO_5000, 2 to 200 of them.
+        i = data.draw(st.integers(0, len(PRIMES_TO_5000) - 2))
+        j = data.draw(st.integers(i + 1, min(i + 199, len(PRIMES_TO_5000) - 1)))
+        bounds = [1, *PRIMES_TO_5000, 5001]
+        lo = data.draw(st.integers(bounds[i] + 1, bounds[i + 1]))
+        hi = data.draw(st.integers(bounds[j + 1], bounds[j + 2] - 1))
+        primes = PRIMES_TO_5000[i:j + 1]
         series = d_tower_series(n, genus, primes)
         pairs = [
             [(d.q, d.vol_proxy) for d in series],
@@ -129,10 +137,24 @@ class TestExponentChecks:
             [(d.vol_proxy, d.b1_proxy) for d in series],
             [(d.vol_proxy, d.cusp_proxy) for d in series],
         ]
-        records = exponent_checks(n, genus, primes)
+        records = exponent_checks(n, genus, lo, hi)
         assert [r["slope"] for r in records] == [fit_exponent(p).slope for p in pairs]
         assert all(r["points"] == len(primes) for r in records)
 
     def test_one_prime_is_too_few_points(self):
+        for lo, hi, count in ((5, 6, 1), (50, 5, 0), (24, 28, 0)):
+            with pytest.raises(ValidationError) as err:
+                exponent_checks(2, 2, lo, hi)
+            assert str(err.value) == f"need at least 2 primes in [{lo}, {hi}], got {count}"
         with pytest.raises(ValidationError, match="at least 2 points, got 1"):
-            exponent_checks(2, 2, [5])
+            fit_exponent([(5, 125)])
+
+    def test_refusals_come_cap_range_tolerance_then_model(self):
+        with pytest.raises(ResourceLimitError):
+            exponent_checks(4, 1, 50, 103, math.nan, cap=102)
+        with pytest.raises(ValidationError, match="need at least 2 primes"):
+            exponent_checks(4, 1, 50, 5, math.nan)
+        with pytest.raises(ValidationError, match="finite"):
+            exponent_checks(4, 1, 5, 199, math.nan)
+        with pytest.raises(ValidationError, match="n = 2 and n = 3"):
+            exponent_checks(4, 1, 5, 199)

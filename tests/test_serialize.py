@@ -246,13 +246,6 @@ class TestDTowerWriter:
         with _any_int_digits():
             assert dumps_d_tower(n, genus, columns) == dumps_canonical(doc)
 
-    @pytest.mark.parametrize("column", range(4))
-    def test_entries_must_be_positive(self, column):
-        columns = [[5, 7], [10, 20], [3, 4], [1, 2]]
-        columns[column][1] = 0
-        with pytest.raises(ValidationError, match="must all be positive"):
-            dumps_d_tower(2, 2, columns)
-
 
 class TestBaseJson:
     def test_builtin_marker(self):
