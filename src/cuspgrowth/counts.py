@@ -425,12 +425,6 @@ def _affine_coords(f: PrimePowerField, m: int,
     return [coords[j] for j in range(m)]
 
 
-def _affine_solutions(f: PrimePowerField, m: int,
-                      equations: Sequence[tuple[Sequence[int], int]]) -> list[tuple[int, ...]]:
-    """The solutions of `_affine_coords` as vectors."""
-    return list(zip(*_affine_coords(f, m, equations)))
-
-
 def _count_sl(f: PrimePowerField, m: int) -> int:
     """Count m x m matrices over the field with determinant 1.
 

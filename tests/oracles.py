@@ -5,8 +5,9 @@ cofactor expansion, invariant factors by gcds of minors, subgroup
 orders by breadth-first closure, tower levels by one public index or
 kernel call per cusp and fibration, the integrality condition by a
 direct double loop, contractions by listing every partition into the right
-number of blocks, and group orders and primes by the plain searches
-below.  They are slow and only meant for small inputs.
+number of blocks, field products by long division, and moduli, group
+orders and primes by the plain searches below.  They are slow and only
+meant for small inputs.
 """
 
 from fractions import Fraction
@@ -211,12 +212,14 @@ def admissible_contractions(mu: WeightTuple, nu: WeightTuple):
 
 
 # ---------------------------------------------------------------------------
-# Brute-force group orders and prime ranges as the library computed them
-# before its table-driven kernels: field addition digit by digit, the
-# N^4 loop over SL_2(Z/N), unitary columns tried against every vector,
-# SL columns checked by a cofactor determinant at every leaf, and primes
-# by trial division.  Only the multiplication table is shared with the
-# library.
+# Field arithmetic, brute-force group orders and prime ranges as the
+# library computed them before its table-driven kernels: field addition
+# digit by digit, products of coefficient lists reduced by long division
+# modulo the least monic irreducible found by trial division, the N^4
+# loop over SL_2(Z/N), unitary columns tried against every vector, SL
+# columns checked by a cofactor determinant at every leaf, and primes by
+# trial division.  The group orders read the library's multiplication
+# table, which `field_mul` and `least_irreducible` check.
 
 
 def digit_add(f, a, b):
@@ -244,6 +247,52 @@ def digit_neg(f, a):
 
 def digit_sub(f, a, b):
     return digit_add(f, a, digit_neg(f, b))
+
+
+def poly_rem(p, a, divisor):
+    """The remainder of the coefficient list `a` (little-endian) by the
+    monic `divisor` over Z/p, of length len(divisor) - 1."""
+    a = list(a) + [0] * len(divisor)
+    d = len(divisor) - 1
+    for i in range(len(a) - 1, d - 1, -1):
+        c = a[i] % p
+        if c:
+            for j in range(d + 1):
+                a[i - d + j] -= c * divisor[j]
+    return [x % p for x in a[:d]]
+
+
+def field_mul(f, a, b, modulus):
+    """a * b in Z/p[x] / (x^n + sum_i modulus[i] x^i), the base-p digits
+    of a and b being their coefficients: the schoolbook product, reduced
+    by long division."""
+    p = f.p
+    prod = [0] * (2 * f.n - 1)
+    i = 0
+    while a:
+        a, x = divmod(a, p)
+        j, c = i, b
+        while c and x:
+            c, y = divmod(c, p)
+            prod[j] += x * y
+            j += 1
+        i += 1
+    code = 0
+    for c in reversed(poly_rem(p, prod, [*modulus, 1])):
+        code = code * p + c
+    return code
+
+
+def least_irreducible(p, n):
+    """The lower coefficients (c_0, ..., c_(n-1)) of the least monic
+    irreducible polynomial of degree n over Z/p, counting c_0 + c_1 p +
+    ... up: the first that no monic polynomial of degree 1 .. n // 2
+    divides."""
+    for code in range(p**n):
+        coeffs = [code // p**i % p for i in range(n)]
+        if all(any(poly_rem(p, [*coeffs, 1], [*(k // p**i % p for i in range(d)), 1]))
+               for d in range(1, n // 2 + 1) for k in range(p**d)):
+            return tuple(coeffs)
 
 
 def field_det(f, cols):

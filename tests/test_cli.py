@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspgrowth import HIRZEBRUCH, counts, sl_order
@@ -48,6 +48,9 @@ class TestDmCommands:
         )
         assert code == 0
         assert "verdict: INT" in out
+        code, out, _ = run_cli(capsys, "dm", "check", "--tuple", "2/7,2/7,3/7,3/7,4/7")
+        assert code == 0
+        assert "verdict: FAIL\nfailing pair (0,1): value 7/3\n" in out
 
     def test_check_half_int_json(self, capsys):
         code, out, _ = run_cli(
@@ -179,7 +182,7 @@ class TestTowerCommands:
         assert [lv["total_cusps"] for lv in doc["levels"]] == [1, 2, 3]
         assert [lv["b1_surface"] for lv in doc["levels"]] == [4, 6, 8]
 
-    def test_spec_round_trip_is_byte_identical(self, tmp_path, capsys):
+    def test_spec_round_trip_is_byte_identical(self, tmp_path, capsys, monkeypatch):
         spec_path = tmp_path / "spec.json"
         run_path = tmp_path / "run.json"
         analyze_path = tmp_path / "analyze.json"
@@ -194,6 +197,10 @@ class TestTowerCommands:
         )
         assert code == 0
         assert run_path.read_bytes() == analyze_path.read_bytes()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec_path.read_text()))
+        code, out, _ = run_cli(capsys, "tower", "analyze", "--spec", "-", "--format", "json")
+        assert code == 0
+        assert out.encode() == run_path.read_bytes()
 
     def test_analyze_custom_spec_with_p2_b_shape(self, tmp_path, capsys):
         # The homomorphism the B-tower builder refuses (p = 2) can still be
@@ -775,6 +782,9 @@ def run_captured(argv):
 class TestArgvContract:
     @settings(max_examples=500, deadline=None)
     @given(argvs())
+    @example(["tower", "run", "--family", "C", "--divisors", "0", "--depth", "3"])
+    @example(["tower", "run", "--family", "C", "--genus", "2", "--divisors", "0,x",
+              "--depth", "3"])
     def test_every_argv_ends_inside_the_contract(self, argv):
         code, out, err = run_captured(argv)
         if code == 0:

@@ -35,7 +35,7 @@ from cuspgrowth.cli import main
 from cuspgrowth.counts import (
     _SPRP_BOUNDS,
     MAX_TRIAL_DIVISOR,
-    _affine_solutions,
+    _affine_coords,
     _laplace_plan,
     _wedge,
     factorize,
@@ -153,6 +153,10 @@ class TestSl2:
     def test_modulus_guard(self):
         with pytest.raises(ValidationError):
             sl2_order(1)
+        with pytest.raises(ValidationError, match="modulus must be >= 2, got 1"):
+            brute_force_order(GroupFamily.SL2_ZN, 2, 1)
+        with pytest.raises(ValidationError, match="only defined for m = 2"):
+            brute_force_order(GroupFamily.SL2_ZN, 3, 5)
 
 
 class TestClassicalOrders:
@@ -216,6 +220,8 @@ class TestBruteForce:
         assert brute.order == formula.order
 
     def test_cap_is_configurable(self):
+        with pytest.raises(ValidationError, match="cap must be positive"):
+            brute_force_order(GroupFamily.SL, 2, 3, cap=0)
         with pytest.raises(ResourceLimitError) as err:
             brute_force_order(GroupFamily.SL, 2, 3, cap=10)
         assert err.value.space == 81
@@ -410,10 +416,16 @@ class TestKernelsAgainstOracles:
 
     @pytest.mark.parametrize("p,n", SMALL_FIELDS)
     def test_add_and_neg_tables_match_digit_arithmetic(self, p, n):
+        """The addition, negation and multiplication tables against digit
+        arithmetic and products of coefficient lists reduced by long
+        division, and the modulus against trial division."""
         f = PrimePowerField(p, n)
+        assert f.modulus_coeffs == oracles.least_irreducible(p, n)
         for a in range(f.size):
             assert f._neg[a] == oracles.digit_neg(f, a)
             assert f._add[a] == [oracles.digit_add(f, a, b) for b in range(f.size)]
+            assert f._mul[a] == [oracles.field_mul(f, a, b, f.modulus_coeffs)
+                                 for b in range(f.size)]
         assert all(f.sub(a, 1) == oracles.digit_sub(f, a, 1) for a in range(f.size))
 
     @pytest.mark.parametrize("family,m,q", BENCH_ORDERS)
@@ -480,7 +492,7 @@ class TestKernelsAgainstOracles:
         f = field(*p_n)
         c = data.draw(st.lists(st.integers(0, f.size - 1), min_size=m, max_size=m))
         expected = f.size ** (m - 1) if any(c) else 0
-        assert len(_affine_solutions(f, m, [(c, 1)])) == expected
+        assert len(list(zip(*_affine_coords(f, m, [(c, 1)])))) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(affine_systems())
@@ -489,7 +501,7 @@ class TestKernelsAgainstOracles:
     @example((field(3, 2), 3, []))  # no equations: all of F^3
     def test_affine_solutions_match_a_filter_of_the_whole_space(self, system):
         f, m, equations = system
-        solutions = _affine_solutions(f, m, equations)
+        solutions = list(zip(*_affine_coords(f, m, equations)))
         assert len(set(solutions)) == len(solutions)
 
         def dot(a, v):
@@ -508,9 +520,13 @@ class TestKernelsAgainstOracles:
         (GroupFamily.U, 2, 8), (GroupFamily.SU, 2, 8),
         (GroupFamily.U, 2, 9), (GroupFamily.SU, 2, 9),
         (GroupFamily.UNITRIANGULAR_U, 3, 3), (GroupFamily.U, 3, 3), (GroupFamily.SU, 3, 3),
+        (GroupFamily.UNITRIANGULAR_U, 4, 2), (GroupFamily.UNITRIANGULAR_U, 4, 3),
+        (GroupFamily.UNITRIANGULAR_U, 5, 2),
     ])
     def test_heavy_unitary_cases_match_the_closed_forms(self, family, m, q):
-        # The (3, 3) spaces, 9^9, lie past the default cap.
+        # The (3, 3) spaces, 9^9, lie past the default cap, and so do the
+        # unitriangular m = 4 and 5, whose norms pair more than one
+        # coordinate with its mirror.
         brute = brute_force_order(family, m, q, cap=(q * q) ** (m * m))
         assert brute.order == order_formula(family, m, q).order
 

@@ -114,6 +114,8 @@ REFUSALS = {
                         "--cap", "511"],
     "sl2_zn_brute_over": [*ORDERS, "SL2_ZN", "--m", "2", "--q", "100", "--method", "brute",
                           "--cap", "99999999"],
+    "field_too_large": [*ORDERS, "SL", "--m", "2", "--q", "2048", "--method", "brute",
+                        "--cap", "100000000000000"],
     "trial_division": [*ORDERS, "SL2_ZN", "--m", "2", "--q", str(2**61 - 1)],
     "exponents_default": ["congruence", "exponents", *PRIMES],
     "exponents_lifted": ["congruence", "exponents", *PRIMES, "--cap", "1000050"],
