@@ -13,6 +13,7 @@ front.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .errors import ResourceLimitError, ValidationError
 
@@ -26,6 +27,8 @@ class PrimePowerField:
     def __init__(self, p: int, n: int):
         if n < 1:
             raise ValidationError(f"extension degree must be >= 1, got {n}")
+        if p < 2:
+            raise ValidationError(f"characteristic must be a prime, got {p}")
         size = p**n
         if size > _MAX_TABLE_ELEMENTS:
             raise ResourceLimitError(
@@ -33,6 +36,8 @@ class PrimePowerField:
                 f"arithmetic (limit {_MAX_TABLE_ELEMENTS})",
                 space=size, cap=_MAX_TABLE_ELEMENTS,
             )
+        if any(p % k == 0 for k in range(2, isqrt(p) + 1)):  # p <= 1,024 here
+            raise ValidationError(f"characteristic must be a prime, got {p}")
         self.p = p
         self.n = n
         self.size = size

@@ -12,7 +12,11 @@ Fractions appear only at the API boundary: the three search kernels
 (`check_int`, `enumerate_tuples`, `find_contraction`) scale a tuple to
 integer numerators over a common denominator d and work on those.  A
 pair then passes when gap = d - a_i - a_j is at most 0 or divides d,
-and is half-integral when a_i = a_j and gap divides 2d.
+and is half-integral when a_i = a_j and gap divides 2d.  Validation
+runs on numerators too: a `WeightTuple` tests each weight as
+0 < numerator < denominator and the sum as sum(a_i) = 2d, and
+`enumerate_tuples` builds one Fraction per numerator per call and
+shares it among its hits.
 `find_contraction` returns the lexicographically least admissible
 partition and `enumerate_tuples` skips every prefix that already holds
 a failing pair; both refuse searches beyond a cap.  Every function is
@@ -38,7 +42,7 @@ DEFAULT_ENUMERATION_CAP = 5_000_000
 DEFAULT_CONTRACTION_CAP = 5_000_000
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -48,10 +52,12 @@ def parse_fraction(text: str) -> Fraction:
     decimal and exponent notation (which can ask for huge integers) never
     reach `Fraction`.
     """
-    if not _RATIONAL.fullmatch(text.strip()):
+    match = _RATIONAL.fullmatch(text.strip())
+    if not match:
         raise ValidationError(f"cannot parse exact rational from {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(text.strip())
+        return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse exact rational from {text!r}") from exc
 
@@ -70,20 +76,20 @@ class WeightTuple:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ws = tuple(Fraction(w) for w in self.weights)
+        ws = tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
         if len(ws) < 4:
             raise ValidationError(
                 f"weight tuple must have length >= 4, got length {len(ws)}"
             )
         for idx, w in enumerate(ws):
-            if not (0 < w < 1):
+            if not 0 < w.numerator < w.denominator:
                 raise ValidationError(
                     f"weight {w} at index {idx} is not strictly between 0 and 1"
                 )
-        total = sum(ws)
-        if total != 2:
-            raise ValidationError(f"weights must sum to exactly 2, got {total}")
+        d = lcm(*(w.denominator for w in ws))
+        if sum(_numerators(ws, d)) != 2 * d:
+            raise ValidationError(f"weights must sum to exactly 2, got {sum(ws)}")
 
     @classmethod
     def parse(cls, text: str) -> "WeightTuple":
@@ -394,10 +400,12 @@ def enumerate_tuples(
     # fails[b]: bit a is set when the pair (a/d, b/d) fails.  A FAIL pair
     # stays in every extension of a prefix, so a candidate whose bit is
     # set in the prefix's mask is skipped together with its subtree.
+    # Only partners with gap = d - a - b > 0 can fail.
     fails = [0] + [
-        sum(1 << a for a in range(1, d) if _pair_verdict(a, b, d) is IntVerdict.FAIL)
+        sum(1 << a for a in range(1, d - b) if _pair_verdict(a, b, d) is IntVerdict.FAIL)
         for b in range(1, d)
     ]
+    fraction_of = [Fraction(a, d) for a in range(d)]
     results: list[tuple[WeightTuple, IntStatus]] = []
     numerators: list[int] = []
 
@@ -408,7 +416,7 @@ def enumerate_tuples(
         if slots == 1:
             if not forbidden >> remaining & 1:
                 nums = numerators + [remaining]
-                mu = WeightTuple(tuple(Fraction(a, d) for a in nums))
+                mu = WeightTuple(tuple(fraction_of[a] for a in nums))
                 results.append((mu, _int_status(nums, d)))
             return
         for a in range(start, d):

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion, invariant factors by gcds of minors, subgroup
 orders by breadth-first closure, tower levels by one public index or
-kernel call per cusp and fibration, the integrality condition by a
-direct double loop, contractions by listing every partition into the right
+kernel call per cusp and fibration, weight-tuple validation by Fraction
+comparisons and sums, the integrality condition by a direct double
+loop, contractions by listing every partition into the right
 number of blocks, field products by long division, and moduli, group
 orders and primes by the plain searches below.  They are slow and only
 meant for small inputs.
@@ -133,6 +134,20 @@ def analyze_level(base: BaseSpace, rho: AbelianHom) -> LevelReport:
         b1_bound=bound,
         factoring_fibration=via,
     )
+
+
+def weight_tuple_error(ws):
+    """The message `WeightTuple(ws)` must refuse with, or None when it
+    must accept, by Fraction comparisons and a Fraction sum."""
+    ws = [Fraction(w) for w in ws]
+    if len(ws) < 4:
+        return f"weight tuple must have length >= 4, got length {len(ws)}"
+    for idx, w in enumerate(ws):
+        if not 0 < w < 1:
+            return f"weight {w} at index {idx} is not strictly between 0 and 1"
+    if sum(ws) != 2:
+        return f"weights must sum to exactly 2, got {sum(ws)}"
+    return None
 
 
 def int_condition_verdict(ws):

@@ -133,6 +133,11 @@ class TestFiniteField:
         for a in range(f.size):
             assert f.pow(f.pow(a, q), q) == a
 
+    @pytest.mark.parametrize("p,n", [(4, 1), (6, 1), (9, 1), (4, 2), (1, 1), (-3, 1), (0, 1)])
+    def test_characteristic_must_be_prime(self, p, n):
+        with pytest.raises(ValidationError, match=f"characteristic must be a prime, got {p}$"):
+            PrimePowerField(p, n)
+
 
 class TestSl2:
     def test_frozen_values(self):

@@ -16,7 +16,13 @@ from cuspgrowth import (
     enumerate_tuples,
     find_contraction,
 )
-from oracles import admissible_contractions, int_condition_verdict, partitions_into
+from cuspgrowth.weights import _RATIONAL, parse_fraction
+from oracles import (
+    admissible_contractions,
+    int_condition_verdict,
+    partitions_into,
+    weight_tuple_error,
+)
 
 F = Fraction
 
@@ -237,7 +243,8 @@ class TestEnumerate:
             assert mu.weights not in seen
             seen.add(mu.weights)
 
-    @pytest.mark.parametrize("length, den", [(4, 2), (4, 8), (5, 6), (6, 6), (4, 12), (5, 12)])
+    @pytest.mark.parametrize("length, den", [(4, 2), (4, 8), (5, 6), (6, 6), (4, 12), (5, 12),
+                                             (5, 24), (4, 48)])
     def test_matches_brute_recount(self, length, den):
         # Every sorted numerator vector summing to 2 * den, classified by
         # the double-loop oracle; (5, 6) and (6, 6) hold HALF_INT tuples.
@@ -363,3 +370,67 @@ def test_find_contraction_is_the_least_admissible_partition(instance):
         assert partition.blocks == min(valid)
     else:
         assert partition is None
+
+
+@st.composite
+def weight_inputs(draw):
+    """Weights of a tuple of length 0-9 as Fractions, ints and unreduced
+    'a/b' strings.  Either each weight has its own denominator and may
+    be zero, negative or at least 1, or the numerators over one d sum
+    to 2d and one of them moves by -1, 0 or +1, so that the sum is off
+    by 1/d or a weight reaches 0 or 1."""
+    n = draw(st.integers(0, 9))
+    d = draw(st.integers(1, 12))
+    nums = _composition(draw, 2 * d, n, d) if n and draw(st.booleans()) else None
+    if nums is None:
+        values = []
+        for _ in range(n):
+            den = draw(st.integers(1, 12))
+            inside = draw(st.integers(0, 3)) and den > 1
+            num = draw(st.integers(1, den - 1) if inside else st.integers(-den, 2 * den))
+            values.append(F(num, den))
+    else:
+        nums[draw(st.integers(0, n - 1))] += draw(st.sampled_from((-1, 0, 1)))
+        values = [F(a, d) for a in nums]
+    inputs = []
+    for w in values:
+        form = draw(st.sampled_from(("fraction", "str", "int")))
+        if form == "str":
+            k = draw(st.integers(1, 3))
+            inputs.append(f"{w.numerator * k}/{w.denominator * k}")
+        elif form == "int" and w.denominator == 1:
+            inputs.append(w.numerator)
+        else:
+            inputs.append(w)
+    return inputs
+
+
+@settings(max_examples=400, deadline=None)
+@given(weight_inputs())
+def test_validation_matches_fraction_arithmetic(ws):
+    expected = weight_tuple_error(ws)
+    if expected is None:
+        mu = WeightTuple(tuple(ws))
+        assert mu.weights == tuple(F(w) for w in ws)
+        assert all(type(w) is F for w in mu.weights)
+    else:
+        with pytest.raises(ValidationError) as err:
+            WeightTuple(tuple(ws))
+        assert str(err.value) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.from_regex(_RATIONAL, fullmatch=True))
+@example("-007/010")
+@example("+0012")
+@example("-0")
+@example("3/0")
+@example("-0/000")
+def test_parse_fraction_matches_fraction(text):
+    try:
+        expected = F(text)
+    except ZeroDivisionError:
+        with pytest.raises(ValidationError, match="cannot parse exact rational"):
+            parse_fraction(text)
+    else:
+        assert parse_fraction(text) == expected
