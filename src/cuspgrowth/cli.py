@@ -34,7 +34,6 @@ from .errors import ResourceLimitError, ValidationError
 from .fitting import exponent_checks
 from .serialize import (
     UNBOUNDED,
-    c_tower_report_to_json,
     dumps_canonical,
     dumps_d_tower,
     dumps_tower_report,
@@ -210,9 +209,9 @@ def _tower_run(ns: argparse.Namespace) -> Rendered:
             raise ValidationError("family C needs --genus and --divisors")
         divisors = _parse_int_list(ns.divisors, "divisors")
         levels = c_tower_report(ns.genus, divisors, ns.depth, **_cap(ns))
+        headers = ["level", "degree", "b1_surface", "total_cusps"]
         rows = [[lv.level, lv.degree, lv.b1_surface, lv.total_cusps] for lv in levels]
-        return (c_tower_report_to_json(levels),
-                (["level", "degree", "b1_surface", "total_cusps"], rows))
+        return {"levels": [dict(zip(headers, row)) for row in rows]}, (headers, rows)
     if ns.prime is None:
         raise ValidationError(f"family {family} needs --prime")
     if family == "A":
@@ -238,7 +237,9 @@ def _tower_analyze(ns: argparse.Namespace) -> Rendered:
                 data = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read tower spec {path!r}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, undecodable bytes, overlong ints
+    # ValueError: JSONDecodeError, undecodable bytes, overlong ints;
+    # RecursionError: arrays or objects nested past the recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed tower spec JSON in {path!r}: {exc}") from exc
     return _tower_views(analyze_tower(tower_spec_from_json(data, **_cap(ns))))
 

@@ -1,11 +1,11 @@
 """Log-log power-law exponent fitting, and the exponent checks of the
 congruence D-tower model.
 
-This is the only module that touches floating point; everything
-upstream is exact.  The fit is ordinary least squares of log y against
-log x (natural logs), which turns a power law y = C * x^a into slope a
-and intercept log C.  `exponent_checks` sieves its prime range once and
-fits over the columns of the D-tower kernel in `counts`.
+Fits are floating point over exact counts; `counts` seeds integer roots
+from floats but confirms each exactly.  The fit is least squares of log
+y against log x (natural logs), turning a power law y = C * x^a into
+slope a and intercept log C.  `exponent_checks` sieves its prime range
+once and fits over the columns of the D-tower kernel in `counts`.
 """
 
 from __future__ import annotations

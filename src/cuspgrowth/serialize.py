@@ -8,15 +8,16 @@ indent, trailing newline; reports round-trip byte-identically.
 
 `dumps_canonical` writes any document through `json.dumps`, whose
 indented form runs the pure-Python encoder.  `dumps_tower_report` and
-`dumps_d_tower` write the fixed shapes of a tower report and of a
-`congruence dtower` series directly, with the same bytes as
-`dumps_canonical` of those documents.
+`dumps_d_tower` write a tower report and a `congruence dtower` series
+one f-string per level or row, with the bytes of `dumps_canonical`.
+The CLI builds a family C report from its table rows.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import prod
 from typing import Any, Optional, Sequence
 
@@ -27,7 +28,6 @@ from .towers import (
     HIRZEBRUCH,
     BaseSpace,
     CuspData,
-    CTowerLevel,
     FibrationData,
     LevelReport,
     TowerReport,
@@ -265,55 +265,28 @@ def tower_report_to_json(report: TowerReport) -> dict:
     return {"levels": [level_report_to_json(lv) for lv in report.levels]}
 
 
-def _level_head(names: tuple[str, ...]) -> tuple[tuple[str, ...], str]:
-    """The sorted cusp names, and the %-template of an indented level
-    object with these cusps up to its `factoring_fibration` line; the
-    multiplicities fill in sorted name order."""
-    order = tuple(sorted(names))
-    cusps = ",\n".join(f"        {json.dumps(name).replace('%', '%%')}: %s"
-                        for name in order)
-    cusps = "{\n" + cusps + "\n      }" if order else "{}"
-    return order, (
-        "    {\n"
-        '      "b1_bound": %s,\n'
-        '      "connected": %s,\n'
-        '      "cusp_multiplicities": ' + cusps + ",\n"
-        '      "degree": %s,\n'
-        '      "factoring_fibration": %s,\n'
-    )
-
-
 def dumps_tower_report(report: TowerReport) -> str:
-    """`dumps_canonical(tower_report_to_json(report))`, written from one
-    template per set of cusp names instead of through the indented
-    encoder."""
+    """`dumps_canonical(tower_report_to_json(report))`, written one
+    f-string per level instead of through the indented encoder."""
     if not report.levels:
         return '{\n  "levels": []\n}\n'
-    note = f'      "note": {json.dumps(_DISCONNECTED_NOTE)},\n'
-    unbounded = json.dumps(UNBOUNDED)
-    heads: dict[tuple[str, ...], tuple[tuple[str, ...], str]] = {}
-    fibrations: dict[Optional[str], str] = {None: "null"}
+    quote = encode_basestring_ascii
+    unbounded = quote(UNBOUNDED)
+    note = f'      "note": {quote(_DISCONNECTED_NOTE)},\n'
     levels = []
     for lv in report.levels:
-        mults = lv.cusp_multiplicities
-        names = tuple(mults)
-        if names not in heads:
-            heads[names] = _level_head(names)
-        order, head = heads[names]
+        cusps = ",\n".join(f"        {quote(name)}: {m}"
+                           for name, m in sorted(lv.cusp_multiplicities.items()))
+        cusps = f"{{\n{cusps}\n      }}" if cusps else "{}"
         via = lv.factoring_fibration
-        if via not in fibrations:
-            fibrations[via] = json.dumps(via)
-        text = head % (
-            unbounded if lv.b1_bound is None else lv.b1_bound,
-            "true" if lv.connected else "false",
-            *[mults[name] for name in order],
-            lv.degree,
-            fibrations[via],
-        )
-        if not lv.connected:
-            text += note
-        total = "null" if lv.total_cusps is None else lv.total_cusps
-        levels.append(f'{text}      "total_cusps": {total}\n    }}')
+        levels.append(
+            f'    {{\n      "b1_bound": {unbounded if lv.b1_bound is None else lv.b1_bound},\n'
+            f'      "connected": {"true" if lv.connected else "false"},\n'
+            f'      "cusp_multiplicities": {cusps},\n'
+            f'      "degree": {lv.degree},\n'
+            f'      "factoring_fibration": {"null" if via is None else quote(via)},\n'
+            f'{"" if lv.connected else note}'
+            f'      "total_cusps": {"null" if lv.total_cusps is None else lv.total_cusps}\n    }}')
     return '{\n  "levels": [\n' + ",\n".join(levels) + "\n  ]\n}\n"
 
 
@@ -327,16 +300,3 @@ def dumps_d_tower(n: int, genus: int, columns: Sequence[Sequence[int]]) -> str:
     rows = f"[\n{rows}\n  ]" if rows else "[]"
     return f'{{\n  "genus": {genus},\n  "n": {n},\n  "series": {rows}\n}}\n'
 
-
-def c_tower_report_to_json(levels: list[CTowerLevel]) -> dict:
-    return {
-        "levels": [
-            {
-                "level": lv.level,
-                "degree": lv.degree,
-                "b1_surface": lv.b1_surface,
-                "total_cusps": lv.total_cusps,
-            }
-            for lv in levels
-        ]
-    }

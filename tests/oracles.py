@@ -453,3 +453,19 @@ def group_order(family, m, q):
         return count_sl(PrimePowerField(p, e), m)
     return count_unitary(PrimePowerField(p, 2 * e), m, q,
                          det_one=family == "SU", unitriangular=family == "UNITRIANGULAR_U")
+
+
+def c_tower_report_json(levels) -> dict:
+    """The `tower run --family C` JSON document, one object per level
+    with its four fields named one by one."""
+    return {
+        "levels": [
+            {
+                "level": lv.level,
+                "degree": lv.degree,
+                "b1_surface": lv.b1_surface,
+                "total_cusps": lv.total_cusps,
+            }
+            for lv in levels
+        ]
+    }

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cuspgrowth import HIRZEBRUCH, counts, sl_order
+import oracles
+from cuspgrowth import HIRZEBRUCH, c_tower_report, counts, sl_order
 from cuspgrowth.cli import _any_int_digits, main
+from cuspgrowth.serialize import dumps_canonical
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +184,21 @@ class TestTowerCommands:
         doc = json.loads(out)
         assert [lv["total_cusps"] for lv in doc["levels"]] == [1, 2, 3]
         assert [lv["b1_surface"] for lv in doc["levels"]] == [4, 6, 8]
+
+    def test_c_tower_json_matches_the_reference(self, capsys):
+        rng = random.Random(7)
+        for genus in range(2, 6):
+            for depth in (1, 2, 37, 400):
+                divisors = [rng.randrange(13) for _ in range(rng.randint(1, 5))]
+                code, out, err = run_cli(
+                    capsys, "tower", "run", "--family", "C", "--genus", str(genus),
+                    "--divisors", ",".join(map(str, divisors)), "--depth", str(depth),
+                    "--format", "json",
+                )
+                assert (code, err) == (0, "")
+                levels = c_tower_report(genus, divisors, depth)
+                assert out == dumps_canonical(oracles.c_tower_report_json(levels)), (
+                    genus, divisors, depth)
 
     def test_spec_round_trip_is_byte_identical(self, tmp_path, capsys, monkeypatch):
         spec_path = tmp_path / "spec.json"
@@ -396,6 +414,23 @@ class TestTowerSizeGuards:
         if isinstance(text, bytes):
             path.write_bytes(text)
         else:
+            path.write_text(text)
+        code, out, err = run_cli(capsys, "tower", "analyze", "--spec", str(path))
+        assert out == ""
+        assert validation_message(code, err).startswith("malformed tower spec JSON")
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"base": {"rank": 1, "cusps": ' + "[" * 1200 + "]" * 1200 + "}, \"levels\": []}",
+    ], ids=["top-level", "inside-base"])
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_deeply_nested_spec_json_exits_2(self, tmp_path, capsys, monkeypatch, text,
+                                             from_stdin):
+        if from_stdin:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            path = "-"
+        else:
+            path = tmp_path / "spec.json"
             path.write_text(text)
         code, out, err = run_cli(capsys, "tower", "analyze", "--spec", str(path))
         assert out == ""

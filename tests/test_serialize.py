@@ -13,6 +13,7 @@ from cuspgrowth import (
     WeightTuple,
     analyze_tower,
     build_a_tower,
+    build_b_tower,
 )
 from cuspgrowth.errors import ResourceLimitError
 from cuspgrowth.serialize import (
@@ -190,15 +191,18 @@ HUGE = 10**4400 + 7
 
 
 @st.composite
-def tower_reports(draw):
+def tower_reports(draw, one_cusp_set=True):
     """A report of 0-5 levels over one set of 0-4 cusp names (in a random
-    insertion order per level), with connected and disconnected levels,
-    unbounded and bounded b1, and degrees up to past 4,300 digits."""
+    insertion order per level), or over a set drawn per level, with
+    connected and disconnected levels, unbounded and bounded b1, and
+    degrees up to past 4,300 digits."""
     names = draw(st.lists(NAMES, max_size=4, unique=True))
     fibrations = draw(st.lists(NAMES, min_size=1, max_size=3))
     ints = st.integers(min_value=-5, max_value=10**40)
     levels = []
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        if not one_cusp_set:
+            names = draw(st.lists(NAMES, max_size=4, unique=True))
         order = draw(st.permutations(names))
         connected = draw(st.booleans())
         levels.append(LevelReport(
@@ -218,6 +222,20 @@ class TestTowerReportWriter:
     def test_writes_the_canonical_bytes(self, report):
         with _any_int_digits():
             assert dumps_tower_report(report) == dumps_canonical(tower_report_to_json(report))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tower_reports(one_cusp_set=False))
+    def test_levels_with_different_cusp_sets(self, report):
+        with _any_int_digits():
+            assert dumps_tower_report(report) == dumps_canonical(tower_report_to_json(report))
+
+    # The B family needs an odd prime, so it takes p = 3 and 5.
+    @pytest.mark.parametrize("build, p", [(build_a_tower, 2), (build_a_tower, 3),
+                                          (build_b_tower, 3), (build_b_tower, 5)],
+                             ids=["A2", "A3", "B3", "B5"])
+    def test_depth_1000_towers(self, build, p):
+        report = analyze_tower(build(p, 1000))
+        assert dumps_tower_report(report) == dumps_canonical(tower_report_to_json(report))
 
     def test_empty_report_and_no_cusps(self):
         empty = TowerReport(())
