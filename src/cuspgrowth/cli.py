@@ -37,10 +37,8 @@ from .serialize import (
     dumps_canonical,
     dumps_d_tower,
     dumps_tower_report,
-    int_status_to_json,
     tower_spec_from_json,
     tower_spec_to_json,
-    weights_to_json,
 )
 from .towers import (
     TowerReport,
@@ -117,7 +115,14 @@ def _cap(ns: argparse.Namespace) -> dict[str, int]:
 def _dm_check(ns: argparse.Namespace) -> Rendered:
     mu = WeightTuple.parse(ns.tuple)
     status = weights.check_int(mu)
-    doc = {"weights": weights_to_json(mu), **int_status_to_json(status)}
+    doc = {
+        "weights": mu.as_strings(),
+        "verdict": status.verdict.value,
+        "half_integral_witnesses": [{"i": w.i, "j": w.j, "value": str(w.value)}
+                                    for w in status.half_witnesses],
+        "fail_witnesses": [{"i": w.i, "j": w.j, "value": str(w.value)}
+                           for w in status.fail_witnesses],
+    }
     lines = [f"weights: {', '.join(mu.as_strings())}", f"verdict: {status.verdict.value}"]
     for w in status.half_witnesses:
         lines.append(f"half-integral pair ({w.i},{w.j}): value {w.value}")
@@ -131,10 +136,10 @@ def _dm_contract(ns: argparse.Namespace) -> Rendered:
     partition = _parse_blocks(ns.blocks)
     result = weights.contract(mu, partition)
     doc = {
-        "source": weights_to_json(mu),
+        "source": mu.as_strings(),
         "blocks": [list(b) for b in partition.blocks],
         "block_sums": [str(s) for s in partition.block_sums(mu)],
-        "result": weights_to_json(result),
+        "result": result.as_strings(),
     }
     text = (
         f"source: {', '.join(mu.as_strings())}\n"
@@ -149,12 +154,12 @@ def _dm_find_contraction(ns: argparse.Namespace) -> Rendered:
     nu = WeightTuple.parse(ns.target)
     partition = weights.find_contraction(mu, nu, **_cap(ns))
     if partition is None:
-        doc = {"found": False, "source": weights_to_json(mu), "target": weights_to_json(nu)}
+        doc = {"found": False, "source": mu.as_strings(), "target": nu.as_strings()}
         return doc, "no admissible contraction\n"
     doc = {
         "found": True,
-        "source": weights_to_json(mu),
-        "target": weights_to_json(nu),
+        "source": mu.as_strings(),
+        "target": nu.as_strings(),
         "blocks": [list(b) for b in partition.blocks],
         "block_sums": [str(s) for s in partition.block_sums(mu)],
     }
@@ -169,7 +174,7 @@ def _dm_enumerate(ns: argparse.Namespace) -> Rendered:
         "max_denominator": ns.max_denominator,
         "count": len(found),
         "tuples": [
-            {"weights": weights_to_json(mu), "verdict": status.verdict.value}
+            {"weights": mu.as_strings(), "verdict": status.verdict.value}
             for mu, status in found
         ],
     }
@@ -371,8 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "the largest --prime-max for congruence exponents and "
                              "dtower, the bits of the largest deck-group order for tower "
                              "run A/B and tower analyze, the largest --depth for tower "
-                             "run C, and the bits of a formula order for congruence "
-                             "orders")
+                             "run C, and the lower estimate m(m-1)/2*(bits(q)-1)+1 of "
+                             "the bits of a formula order for congruence orders")
     common.add_argument("--out", default=None, help="write output to this file")
 
     parser = _Parser(

@@ -42,9 +42,11 @@ DEFAULT_BRUTE_CAP = 1 << 28
 #: digits of an int printed in decimal.
 _EXACT_SPACE_BITS = 14_284
 
-#: Refuse formula orders with more bits than this.  The largest orders
-#: it admits, SL_632(F_3) and U_632(F_3) of about 634,000 bits, take
-#: about 1.1 s to build and print in a fresh CLI process.
+#: Refuse a formula order whose lower estimate of its bits,
+#: m(m-1)/2 * (bits(q) - 1) + 1, is above this; the order itself has
+#: up to about 3.2 times as many (at q = 3).  The largest orders it admits,
+#: SL_632(F_3) and U_632(F_3) of about 634,000 bits, take about 1.1 s
+#: to build and print in a fresh CLI process.
 DEFAULT_ORDER_BITS_CAP = 200_000
 
 #: Refuse prime ranges reaching past this: the sieve holds one byte per
@@ -261,13 +263,6 @@ def sl_order(m: int, q: int) -> GroupOrder:
     return _field_order(GroupFamily.SL, m, q)
 
 
-def _sl_count(m: int, q: int) -> int:
-    order = q ** (m * (m - 1) // 2)
-    for i in range(2, m + 1):
-        order *= q**i - 1
-    return order
-
-
 def u_order(m: int, q: int) -> GroupOrder:
     """|U_m(F_q)| = q^(m(m-1)/2) * prod_(i=1..m) (q^i - (-1)^i)."""
     return _field_order(GroupFamily.U, m, q)
@@ -279,35 +274,45 @@ def su_order(m: int, q: int) -> GroupOrder:
     return _field_order(GroupFamily.SU, m, q)
 
 
-def _su_count(m: int, q: int) -> int:
-    order = q ** (m * (m - 1) // 2)
-    for i in range(2, m + 1):
-        order *= q**i - (-1) ** i
-    return order
-
-
 def unitriangular_u_order(m: int, q: int) -> GroupOrder:
     """Order q^(m(m-1)/2) of the upper unitriangular subgroup of U_m(F_q)."""
     return _field_order(GroupFamily.UNITRIANGULAR_U, m, q)
 
 
-_FIELD_COUNTS = {
-    GroupFamily.SL: _sl_count,
-    GroupFamily.U: lambda m, q: (q + 1) * _su_count(m, q),
-    GroupFamily.SU: _su_count,
-    GroupFamily.UNITRIANGULAR_U: lambda m, q: q ** (m * (m - 1) // 2),
-}
+def _field_count(family: GroupFamily, m: int, q: int) -> int:
+    """q^(m(m-1)/2) * prod_i (q^i - s^i), s = 1 for SL and -1 for U and
+    SU, i from 1 for U and from 2 otherwise; the unitriangular order is
+    the power alone."""
+    order = q ** (m * (m - 1) // 2)
+    if family is not GroupFamily.UNITRIANGULAR_U:
+        s = 1 if family is GroupFamily.SL else -1
+        for i in range(1 if family is GroupFamily.U else 2, m + 1):
+            order *= q**i - s**i
+    return order
+
+
+def _family(family: GroupFamily, m: int) -> GroupFamily:
+    """`family`, a member or its name, as a `GroupFamily` that admits m x m
+    matrices: SL2_ZN only m = 2."""
+    try:
+        family = GroupFamily(family)
+    except ValueError:
+        raise ValidationError(f"unknown family {family!r}") from None
+    if family is GroupFamily.SL2_ZN and m != 2:
+        raise ValidationError("SL2_ZN is only defined for m = 2")
+    return family
 
 
 def _field_order(
     family: GroupFamily, m: int, q: int, cap: Optional[int] = None
 ) -> GroupOrder:
-    """The formula order of a field family, refused past `cap` bits.
+    """The formula order of a field family, refused when its lower
+    estimate of bits is above `cap`.
 
     q^(m(m-1)/2), the unitriangular order, divides the order of every
     field family (of SU too, as gcd(q, q + 1) = 1), so the order has at
     least m(m-1)/2 * (bits(q) - 1) + 1 bits; the refusal rests on that
-    bound and comes before any product is built.
+    estimate and comes before any product is built.
     """
     if m < 2:
         raise ValidationError(f"matrix size must be >= 2, got {m}")
@@ -319,23 +324,21 @@ def _field_order(
             bits,
             cap,
         )
-    return GroupOrder(family, m, q, _FIELD_COUNTS[family](m, q), Method.FORMULA)
+    return GroupOrder(family, m, q, _field_count(family, m, q), Method.FORMULA)
 
 
 def order_formula(
     family: GroupFamily, m: int, q: int, cap: int = DEFAULT_ORDER_BITS_CAP
 ) -> GroupOrder:
-    """Exact order by its closed form.
+    """Exact order by its closed form, for a `GroupFamily` or its name.
 
-    Refuses a field-family order with more than `cap` bits; the SL2_ZN
-    order is below N^3 and has no cap.
+    Refuses a field-family order when its lower estimate of bits,
+    m(m-1)/2 * (bits(q) - 1) + 1, is above `cap`; the order itself may
+    have more.  The SL2_ZN order is below N^3 and has no cap.
     """
+    family = _family(family, m)
     if family is GroupFamily.SL2_ZN:
-        if m != 2:
-            raise ValidationError("SL2_ZN is only defined for m = 2")
         return sl2_order(q)
-    if family not in _FIELD_COUNTS:
-        raise ValidationError(f"unknown family {family!r}")
     return _field_order(family, m, q, cap)
 
 
@@ -372,7 +375,7 @@ def _wedge(f: PrimePowerField, step: list[list[tuple[int, int, bool]]],
     candidate v.  Returns, for each (k+1)-row subset, the list over the
     candidates of that coordinate of the product extended by v.
     """
-    add, mul, neg = f._add, f._mul, f._neg
+    add, mul, neg = f.add, f.mul, f.neg
     out = []
     for terms in step:
         values = None
@@ -398,7 +401,7 @@ def _affine_coords(f: PrimePowerField, m: int,
     basis vector's coefficient, runs over the field, and the pivot
     coordinate of row (a, b) is b - sum_k a_k x_k over the free k.
     """
-    add, mul, neg = f._add, f._mul, f._neg
+    add, mul, neg = f.add, f.mul, f.neg
     rows = [list(a) + [b] for a, b in equations]
     pivots: list[int] = []
     for col in range(m):
@@ -466,7 +469,7 @@ def _count_unitary(f: PrimePowerField, m: int, q: int, det_one: bool,
     j and m-1-j contribute Tr(conj(v_(m-1-j)) v_j), with Tr(x) = x +
     conj(x), and a middle one its norm conj(v_j) v_j.
     """
-    add, mul, neg = f._add, f._mul, f._neg
+    add, mul, neg = f.add, f.mul, f.neg
     conj = [f.pow(a, q) for a in range(f.size)]
     trace = [[add[x][conj[x]] for x in (mul[conj[a]][b] for b in range(f.size))]
              for a in range(f.size)]
@@ -510,7 +513,8 @@ def _count_unitary(f: PrimePowerField, m: int, q: int, det_one: bool,
 def brute_force_order(
     family: GroupFamily, m: int, q: int, cap: int = DEFAULT_BRUTE_CAP
 ) -> GroupOrder:
-    """Exact order by enumeration; the independent oracle for the formulas.
+    """Exact order by enumeration, for a `GroupFamily` or its name; the
+    independent oracle for the formulas.
 
     Refuses when the raw space of candidate matrices, q^(m^2) over the
     ground field ((q^2)^(m^2) in the unitary cases, N^4 for SL2_ZN),
@@ -521,10 +525,8 @@ def brute_force_order(
     """
     if cap < 1:
         raise ValidationError("cap must be positive")
-    family = GroupFamily(family)
+    family = _family(family, m)
     if family is GroupFamily.SL2_ZN:
-        if m != 2:
-            raise ValidationError("SL2_ZN is only defined for m = 2")
         if q < 2:
             raise ValidationError(f"modulus must be >= 2, got {q}")
         base, exponent = q, 4
@@ -577,7 +579,7 @@ def cusp_index_proxy(n: int, q: int) -> int:
     if not is_prime(q):
         raise ValidationError(f"q must be prime, got {q}")
     # Exact: q^(n(n+1)/2) divides |SU(n+1, q)| and 2n - 1 <= n(n+1)/2.
-    return _su_count(n + 1, q) // q ** (2 * n - 1)
+    return _field_count(GroupFamily.SU, n + 1, q) // q ** (2 * n - 1)
 
 
 @dataclass(frozen=True)

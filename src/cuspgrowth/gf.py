@@ -6,8 +6,9 @@ Each table entry comes from entries with fewer digits, and a b from
 (b % p) a + x (a (b // p)).  F_p[x]/(f) is a field exactly when f is
 irreducible, so the modulus is the least monic f of degree n, its lower
 coefficients read as a code, whose multiplication table gives every
-nonzero row a 1.  Only meant for tiny fields; the tables are built up
-front.
+nonzero row a 1.  The tables are the field's arithmetic: callers index
+`add[a][b]`, `neg[a]` and `mul[a][b]` directly, and `pow` builds on
+`mul`.  Only meant for tiny fields; the tables are built up front.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ _MAX_TABLE_ELEMENTS = 1 << 10  # add and mul tables are quadratic in field size
 
 
 class PrimePowerField:
-    """GF(p^n) with precomputed addition, negation and multiplication
-    tables."""
+    """GF(p^n) as its tables: `add[a][b]` = a + b, `neg[a]` = -a and
+    `mul[a][b]` = a b."""
 
     def __init__(self, p: int, n: int):
         if n < 1:
@@ -51,11 +52,11 @@ class PrimePowerField:
                    for row in add for d in digits]
             scale = [[p * u + c * d % p for c, u in enumerate(row)]
                      for row in scale for d in digits]
-        self._add, self._neg = add, neg
+        self.add, self.neg = add, neg
         top = size // p
         for code in range(size):  # x^n = -(c_0 + c_1 x + ...), c_i the digits of code
             times_x = [add[p * (a % top)][scale[neg[code]][a // top]] for a in range(size)]
-            self._mul = []
+            self.mul = []
             for a in range(size):
                 by_digit = [add[c] for c in scale[a]]  # a (p j + e) = a e + x (a j)
                 row = [0]
@@ -63,32 +64,18 @@ class PrimePowerField:
                     row = [r[t] for t in map(times_x.__getitem__, row) for r in by_digit]
                 if a and 1 not in row:
                     break  # a has no inverse: f is reducible
-                self._mul.append(row)
+                self.mul.append(row)
             else:
                 self.modulus_coeffs = tuple(code // p**i % p for i in range(n))
                 return
-
-    # Elements are ints; 0 and 1 are the additive and multiplicative units.
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
 
     def pow(self, a: int, e: int) -> int:
         result = 1
         base = a
         while e > 0:
             if e & 1:
-                result = self._mul[result][base]
-            base = self._mul[base][base]
+                result = self.mul[result][base]
+            base = self.mul[base][base]
             e >>= 1
         return result
 

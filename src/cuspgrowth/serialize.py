@@ -1,10 +1,12 @@
-"""JSON wire formats.
+"""JSON wire formats of tower specs and reports.
 
-Conventions: exact rationals travel as "p/q" strings, integer matrices
-as arrays of arrays of decimal strings (arbitrary precision preserved),
-invariant-factor lists as arrays of decimal strings (integers accepted
-on input).  Emitted documents are canonical: sorted keys, two-space
-indent, trailing newline; reports round-trip byte-identically.
+Conventions: integer matrices travel as arrays of arrays of decimal
+strings (arbitrary precision preserved), invariant-factor lists as
+arrays of decimal strings (integers accepted on input).  Emitted
+documents are canonical: sorted keys, two-space indent, trailing
+newline; reports round-trip byte-identically.  The dm reports, whose
+rationals travel as "p/q" strings, are built in the CLI and written by
+`dumps_canonical`.
 
 `dumps_canonical` writes any document through `json.dumps`, whose
 indented form runs the pure-Python encoder.  `dumps_tower_report` and
@@ -16,7 +18,6 @@ The CLI builds a family C report from its table rows.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import prod
 from typing import Any, Optional, Sequence
@@ -29,11 +30,9 @@ from .towers import (
     BaseSpace,
     CuspData,
     FibrationData,
-    LevelReport,
     TowerReport,
     TowerSpec,
 )
-from .weights import IntStatus, PairWitness, WeightTuple
 
 #: JSON sentinel for a level with no applicable b1 bound.
 UNBOUNDED = "UNBOUNDED_BY_METHOD"
@@ -43,36 +42,19 @@ def dumps_canonical(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def fraction_to_json(x: Fraction) -> str:
-    return str(x)
-
-
-def weights_to_json(mu: WeightTuple) -> list[str]:
-    return mu.as_strings()
-
-
-def int_status_to_json(status: IntStatus) -> dict:
-    def witness(w: PairWitness) -> dict:
-        return {"i": w.i, "j": w.j, "value": fraction_to_json(w.value)}
-
-    return {
-        "verdict": status.verdict.value,
-        "half_integral_witnesses": [witness(w) for w in status.half_witnesses],
-        "fail_witnesses": [witness(w) for w in status.fail_witnesses],
-    }
-
-
 def _parse_int(x: Any, what: str) -> int:
-    if isinstance(x, bool):
-        raise ValidationError(f"{what}: expected an integer, got {x!r}")
-    if isinstance(x, int):
+    """An int, or a decimal string; a refusal quotes at most the first
+    32 characters of a string and names the type of any other value."""
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
         try:
             return int(x.strip(), 10)
         except ValueError as exc:
-            raise ValidationError(f"{what}: cannot parse integer from {x!r}") from exc
-    raise ValidationError(f"{what}: expected an integer or decimal string, got {x!r}")
+            quoted = repr(x) if len(x) <= 32 else f"{x[:32]!r}... ({len(x)} characters)"
+            raise ValidationError(f"{what}: cannot parse integer from {quoted}") from exc
+    raise ValidationError(f"{what}: expected an integer or decimal string, "
+                          f"got {type(x).__name__}")
 
 
 def _array(data: Any, what: str) -> list:
@@ -110,13 +92,9 @@ def matrix_from_json(data: Any, cols: Optional[int] = None, what: str = "matrix"
     return IntMatrix.from_rows(rows, cols)
 
 
-def group_to_json(g: FiniteAbelianGroup) -> list[str]:
-    return [str(d) for d in g.invariant_factors]
-
-
 def hom_to_json(rho: AbelianHom) -> dict:
     return {
-        "invariant_factors": group_to_json(rho.target),
+        "invariant_factors": [str(d) for d in rho.target.invariant_factors],
         "images": matrix_to_json(rho.images),
     }
 
@@ -247,22 +225,18 @@ _DISCONNECTED_NOTE = (
 )
 
 
-def level_report_to_json(report: LevelReport) -> dict:
-    doc = {
-        "degree": report.degree,
-        "connected": report.connected,
-        "cusp_multiplicities": dict(sorted(report.cusp_multiplicities.items())),
-        "total_cusps": report.total_cusps,
-        "b1_bound": report.b1_bound if report.b1_bound is not None else UNBOUNDED,
-        "factoring_fibration": report.factoring_fibration,
-    }
-    if not report.connected:
-        doc["note"] = _DISCONNECTED_NOTE
-    return doc
-
-
 def tower_report_to_json(report: TowerReport) -> dict:
-    return {"levels": [level_report_to_json(lv) for lv in report.levels]}
+    """The report as a JSON document, for `dumps_canonical`; a
+    disconnected level carries a note."""
+    return {"levels": [{
+        "degree": lv.degree,
+        "connected": lv.connected,
+        "cusp_multiplicities": dict(sorted(lv.cusp_multiplicities.items())),
+        "total_cusps": lv.total_cusps,
+        "b1_bound": lv.b1_bound if lv.b1_bound is not None else UNBOUNDED,
+        "factoring_fibration": lv.factoring_fibration,
+        **({} if lv.connected else {"note": _DISCONNECTED_NOTE}),
+    } for lv in report.levels]}
 
 
 def dumps_tower_report(report: TowerReport) -> str:

@@ -325,7 +325,7 @@ def field_det(f, cols):
             if c == 0:
                 continue
             minor = [tuple(row[:j] + row[j + 1:]) for row in rs[1:]]
-            term = f.mul(c, expand(minor))
+            term = f.mul[c][expand(minor)]
             total = digit_add(f, total, term) if j % 2 == 0 else digit_sub(f, total, term)
         return total
 
@@ -354,13 +354,13 @@ def count_sl(f, m):
             pivot = next(i for i, x in enumerate(row) if x != 0)
             if v[pivot] != 0:
                 c = v[pivot]
-                v = [digit_sub(f, x, f.mul(c, y)) for x, y in zip(v, row)]
+                v = [digit_sub(f, x, f.mul[c][y]) for x, y in zip(v, row)]
         return tuple(v)
 
     def normalize(vec):
         lead = next(x for x in vec if x != 0)
-        inv = f._mul[lead].index(1)
-        return tuple(f.mul(inv, x) for x in vec)
+        inv = f.mul[lead].index(1)
+        return tuple(f.mul[inv][x] for x in vec)
 
     def recurse():
         nonlocal count
@@ -390,7 +390,7 @@ def count_unitary(f, m, q, det_one, unitriangular):
     def herm(u, v):
         total = 0
         for k in range(m):
-            total = digit_add(f, total, f.mul(conj[u[k]], v[m - 1 - k]))
+            total = digit_add(f, total, f.mul[conj[u[k]]][v[m - 1 - k]])
         return total
 
     def target(i, j):

@@ -263,6 +263,24 @@ class TestTowerCommands:
         assert out == ""
         assert validation_message(code, err).startswith(path + ":")
 
+    @pytest.mark.parametrize("spec, path", [
+        ({"base": {"rank": list(range(200_000))}}, "base.rank"),
+        ({"base": "hirzebruch",
+          "levels": [{"invariant_factors": ["x" * 10**6], "images": []}]},
+         "levels[0].invariant_factors"),
+        ({"base": {"rank": "9" * 5000}}, "base.rank"),
+    ], ids=["long-list", "long-non-digit-string", "5000-digit-string"])
+    def test_error_record_stays_small_for_a_large_value(self, tmp_path, capsys, spec, path):
+        """A value that is not a string is named by its type, and a string
+        by a short prefix and its length, so the record is not as large as
+        the spec."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "tower", "analyze", "--spec", str(spec_path))
+        assert out == ""
+        assert validation_message(code, err).startswith(path + ":")
+        assert len(err.encode()) < 1024
+
     def analyze_levels(self, tmp_path, capsys, levels):
         """Exit code, stdout and stderr of `tower analyze --format json`
         on these levels over the Hirzebruch base."""

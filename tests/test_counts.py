@@ -98,8 +98,8 @@ def affine_systems(draw):
         if kind == "multiple" and equations:
             a, b = draw(st.sampled_from(equations))
             c = draw(element)
-            equations.append((tuple(f.mul(c, x) for x in a),
-                              draw(st.sampled_from([f.mul(c, b), draw(element)]))))
+            equations.append((tuple(f.mul[c][x] for x in a),
+                              draw(st.sampled_from([f.mul[c][b], draw(element)]))))
         elif kind == "zero":
             equations.append(((0,) * m, draw(element)))
         else:
@@ -118,14 +118,14 @@ class TestFiniteField:
         f = field(3, 2)
         elems = range(f.size)
         for a in elems:
-            assert f.add(a, f.neg(a)) == 0
+            assert f.add[a][f.neg[a]] == 0
             if a != 0:
-                assert 1 in f._mul[a]
+                assert 1 in f.mul[a]
         for a in elems:
             for b in elems:
-                assert f.mul(a, b) == f.mul(b, a)
+                assert f.mul[a][b] == f.mul[b][a]
                 for c in (0, 1, 5, 7):
-                    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+                    assert f.mul[a][f.add[b][c]] == f.add[f.mul[a][b]][f.mul[a][c]]
 
     def test_frobenius_is_an_involution_over_the_prime(self):
         q = 3
@@ -200,6 +200,40 @@ class TestClassicalOrders:
                 ratio = math.log(su_order(m, q).order) / math.log(q)
                 assert previous < ratio < limit
                 previous = ratio
+
+
+class TestFieldCount:
+    """The one closed form of the field families against products that do
+    not share its shape, at sizes no brute-force oracle reaches."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 49])
+    def test_gl_and_ennola_products(self, q):
+        p = prime_power_base(q)[0]
+        for m in range(2, 31):
+            gl = math.prod(q**m - q**i for i in range(m))
+            u = (-1) ** m * math.prod((-q) ** m - (-q) ** i for i in range(m))
+            assert counts._field_count(GroupFamily.SL, m, q) * (q - 1) == gl
+            assert counts._field_count(GroupFamily.U, m, q) == u
+            assert counts._field_count(GroupFamily.SU, m, q) * (q + 1) == u
+            # The unitriangular group is a Sylow p-subgroup of GL_m(F_q).
+            while gl % p == 0:
+                gl //= p
+            assert counts._field_count(GroupFamily.UNITRIANGULAR_U, m, q) * gl == math.prod(
+                q**m - q**i for i in range(m))
+
+    @pytest.mark.parametrize("family", list(GroupFamily))
+    def test_every_family_by_member_and_by_name(self, family):
+        m, q = 2, 5 if family is GroupFamily.SL2_ZN else 3
+        for name in (family, family.value):
+            formula, brute = order_formula(name, m, q), brute_force_order(name, m, q)
+            assert formula.family is brute.family is family
+            assert formula.order == brute.order
+
+    @pytest.mark.parametrize("name", ["X", "sl", "", "GL"])
+    def test_unknown_family_is_a_validation_error(self, name):
+        for order in (order_formula, brute_force_order):
+            with pytest.raises(ValidationError, match=f"^unknown family {name!r}$"):
+                order(name, 2, 5)
 
 
 class TestBruteForce:
@@ -427,11 +461,11 @@ class TestKernelsAgainstOracles:
         f = PrimePowerField(p, n)
         assert f.modulus_coeffs == oracles.least_irreducible(p, n)
         for a in range(f.size):
-            assert f._neg[a] == oracles.digit_neg(f, a)
-            assert f._add[a] == [oracles.digit_add(f, a, b) for b in range(f.size)]
-            assert f._mul[a] == [oracles.field_mul(f, a, b, f.modulus_coeffs)
-                                 for b in range(f.size)]
-        assert all(f.sub(a, 1) == oracles.digit_sub(f, a, 1) for a in range(f.size))
+            assert f.neg[a] == oracles.digit_neg(f, a)
+            assert f.add[a] == [oracles.digit_add(f, a, b) for b in range(f.size)]
+            assert f.mul[a] == [oracles.field_mul(f, a, b, f.modulus_coeffs)
+                                for b in range(f.size)]
+        assert all(f.add[a][f.neg[1]] == oracles.digit_sub(f, a, 1) for a in range(f.size))
 
     @pytest.mark.parametrize("family,m,q", BENCH_ORDERS)
     def test_benchmark_configurations(self, family, m, q):
@@ -459,18 +493,18 @@ class TestKernelsAgainstOracles:
                 dependent = rng.randrange(m)
                 c = rng.randrange(f.size)
                 cols[dependent] = tuple(
-                    f.add(x, f.mul(c, y)) for x, y in zip(cols[dependent - 1], cols[0])
+                    f.add[x][f.mul[c][y]] for x, y in zip(cols[dependent - 1], cols[0])
                 ) if dependent else (0,) * m
             minors = (1,)
             for k, col in enumerate(cols):
                 if k == m - 1:
-                    row = [f.neg(minors[s]) if negative else minors[s]
+                    row = [f.neg[minors[s]] if negative else minors[s]
                            for _, s, negative in plan[k][0]]
                     assert [t for t, _, _ in plan[k][0]] == list(range(m))
                     for x in rng.sample(vectors, min(len(vectors), 30)) + [col]:
                         dot = 0
                         for c, xi in zip(row, x):
-                            dot = oracles.digit_add(f, dot, f.mul(c, xi))
+                            dot = oracles.digit_add(f, dot, f.mul[c][xi])
                         assert dot == oracles.field_det(f, cols[:k] + [x])
                 minors = tuple(v[0] for v in _wedge(f, plan[k], minors, [[x] for x in col]))
                 prefix = cols[:k + 1]
@@ -512,7 +546,7 @@ class TestKernelsAgainstOracles:
         def dot(a, v):
             total = 0
             for x, y in zip(a, v):
-                total = oracles.digit_add(f, total, f.mul(x, y))
+                total = oracles.digit_add(f, total, f.mul[x][y])
             return total
 
         assert set(solutions) == {

@@ -10,7 +10,6 @@ from cuspgrowth import (
     FiniteAbelianGroup,
     IntMatrix,
     ValidationError,
-    WeightTuple,
     analyze_tower,
     build_a_tower,
     build_b_tower,
@@ -23,23 +22,14 @@ from cuspgrowth.serialize import (
     dumps_canonical,
     dumps_d_tower,
     dumps_tower_report,
-    level_report_to_json,
     matrix_from_json,
     matrix_to_json,
     tower_report_to_json,
     tower_spec_from_json,
     tower_spec_to_json,
-    weights_to_json,
 )
 from cuspgrowth.cli import _any_int_digits
 from cuspgrowth.towers import LevelReport, TowerReport, analyze_level
-
-
-class TestWeightsJson:
-    def test_round_trip(self):
-        mu = WeightTuple.parse("2/6,2/6,3/6,4/6,1/6")
-        data = weights_to_json(mu)
-        assert data == ["1/3", "1/3", "1/2", "2/3", "1/6"]
 
 
 class TestMatrixJson:
@@ -147,11 +137,16 @@ class TestSpecLevelBounds:
         assert tower_spec_from_json(doc, cap=15).levels[0].target.order == 7**5
 
 
+def level_doc(report):
+    """The JSON document of a one-level tower report, at that level."""
+    return tower_report_to_json(TowerReport((report,)))["levels"][0]
+
+
 class TestReportJson:
     def test_level_report_fields(self):
         rho = AbelianHom(FiniteAbelianGroup((9,)), IntMatrix.from_rows([[1, 0, 0, 0]]))
         report = analyze_level(HIRZEBRUCH, rho)
-        doc = level_report_to_json(report)
+        doc = level_doc(report)
         assert doc["degree"] == 9
         assert doc["total_cusps"] == 12
         assert doc["b1_bound"] == 6
@@ -162,12 +157,12 @@ class TestReportJson:
         rho = AbelianHom(
             FiniteAbelianGroup((3,)), IntMatrix.from_rows([[1, 1, 1, 0]])
         )
-        doc = level_report_to_json(analyze_level(HIRZEBRUCH, rho))
+        doc = level_doc(analyze_level(HIRZEBRUCH, rho))
         assert doc["b1_bound"] == UNBOUNDED
         assert doc["factoring_fibration"] is None
 
     def test_disconnected_note(self):
-        doc = level_report_to_json(
+        doc = level_doc(
             analyze_level(HIRZEBRUCH, AbelianHom(FiniteAbelianGroup((4,)),
                                                  IntMatrix.from_rows([[2, 2, 0, 0]])))
         )
