@@ -25,12 +25,13 @@ import json
 import sys
 from contextlib import contextmanager
 from functools import cache, partial
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
 from . import counts, weights
 from .counts import GroupFamily
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, quoted
 from .fitting import exponent_checks
 from .serialize import (
     UNBOUNDED,
@@ -51,22 +52,43 @@ from .weights import ContractionPartition, WeightTuple
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """Left-aligned columns two spaces apart, each as wide as its widest
+    cell, under a dash rule of the same widths, with trailing whitespace
+    stripped from each line.  One `str.format` template pads every row;
+    `{:<w}` pads a string exactly as `str.ljust(w)` does, so the bytes
+    are those of padding each cell with `ljust`."""
     cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = []
-    for idx, row in enumerate(cells):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        if idx == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    template = "  ".join(f"{{:<{w}}}" for w in widths)
+    lines = [template.format(*row).rstrip() for row in cells]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
 
 
 def _render_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """The rows as `csv.writer(buf, lineterminator="\\n")` writes them.
+
+    A row whose cells, joined with commas, hold exactly one comma per
+    separator and none of `"`, CR, LF or NUL, and which holds no None
+    and joins to a non-empty text, needs no quoting, so the joined text
+    is the writer's line.  Every other row goes through `csv.writer`,
+    which keeps the running interpreter's own quoting (3.13 quotes a
+    lone CR, 3.10-3.12 do not) and its errors (3.10 refuses a NUL).
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buf.getvalue()
+    lines = []
+    for row in chain([headers], rows):
+        text = ",".join(map(str, row))
+        if (not text or text.count(",") >= len(row) or '"' in text or "\r" in text
+                or "\n" in text or "\0" in text or None in row):
+            writer.writerow(row)
+            text = buf.getvalue()[:-1]
+            buf.seek(0)
+            buf.truncate()
+        lines.append(text)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _parse_blocks(text: str) -> ContractionPartition:
@@ -79,7 +101,7 @@ def _parse_blocks(text: str) -> ContractionPartition:
             blocks.append(tuple(int(x) for x in chunk.split(",")))
         except ValueError as exc:
             raise ValidationError(
-                f"cannot parse block {chunk!r}; blocks look like '0,1|2|3|4' "
+                f"cannot parse block {quoted(chunk)}; blocks look like '0,1|2|3|4' "
                 "(0-based indices)"
             ) from exc
     if not blocks:
@@ -91,7 +113,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise ValidationError(f"cannot parse {what} from {text!r}") from exc
+        raise ValidationError(f"cannot parse {what} from {quoted(text)}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +213,13 @@ def _tower_table(report: TowerReport) -> Table:
     )
     rows = []
     for j, lv in enumerate(report.levels, start=1):
+        # A cusp that splits completely has the degree as multiplicity:
+        # its cell reuses the degree's decimal string.
+        degree = str(lv.degree)
         rows.append(
-            [j, lv.degree, lv.connected]
-            + [lv.cusp_multiplicities[name] for name in cusp_names]
+            [j, degree, lv.connected]
+            + [degree if (m := lv.cusp_multiplicities[name]) == lv.degree else m
+               for name in cusp_names]
             + [
                 lv.total_cusps if lv.total_cusps is not None else "n/a",
                 lv.b1_bound if lv.b1_bound is not None else UNBOUNDED,
@@ -224,7 +250,7 @@ def _tower_run(ns: argparse.Namespace) -> Rendered:
     elif family == "B":
         build = build_b_tower
     else:
-        raise ValidationError(f"unknown family {family!r}; expected A, B, or C")
+        raise ValidationError(f"unknown family {quoted(family)}; expected A, B, or C")
     spec = build(ns.prime, ns.depth, **_cap(ns))
     if ns.emit_spec:
         with _any_int_digits():
@@ -252,9 +278,8 @@ def _tower_analyze(ns: argparse.Namespace) -> Rendered:
 def _congruence_orders(ns: argparse.Namespace) -> Rendered:
     family = ns.family.upper()
     if family not in GroupFamily.__members__:
-        raise ValidationError(
-            f"unknown family {family!r}; expected one of {', '.join(GroupFamily.__members__)}"
-        )
+        raise ValidationError(f"unknown family {quoted(family)}; "
+                              f"expected one of {', '.join(GroupFamily.__members__)}")
     family = GroupFamily[family]
     m, q = ns.m, ns.q
     results = []

@@ -3,6 +3,13 @@
 from __future__ import annotations
 
 
+def quoted(text: str) -> str:
+    """`repr(text)` for an input quoted in an error message; a text of
+    more than 32 characters is quoted by its first 32 and its length, so
+    that an error record stays small however large the input."""
+    return repr(text) if len(text) <= 32 else f"{text[:32]!r}... ({len(text)} characters)"
+
+
 class CuspGrowthError(Exception):
     """Base class for all errors raised by this package."""
 

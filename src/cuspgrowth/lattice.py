@@ -30,7 +30,9 @@ class IntMatrix:
     """An immutable integer matrix, row-major.
 
     `cols` is stored explicitly so zero-row matrices keep their width.
-    The columns are transposed once, on first use.
+    The columns, and the least and greatest entry of each row, are
+    computed once, on first use; they are not fields, so they enter
+    neither `==`, `hash` nor `repr`.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -92,6 +94,11 @@ class IntMatrix:
     @cached_property
     def _columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.entries)) if self.entries else ((),) * self.cols
+
+    @cached_property
+    def _row_bounds(self) -> tuple[tuple[int, int], ...]:
+        """(min, max) of each row, (0, 0) for an empty row."""
+        return tuple((min(row, default=0), max(row, default=0)) for row in self.entries)
 
     def columns(self) -> list[tuple[int, ...]]:
         return list(self._columns)
@@ -294,8 +301,12 @@ class FiniteAbelianGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
+        factors = self.invariant_factors
+        if (type(factors) is tuple and len(factors) == 1 and type(factors[0]) is int
+                and factors[0] > 1):
+            return  # one factor above 1 is already canonical
         kept = []
-        for d in self.invariant_factors:
+        for d in factors:
             if not isinstance(d, int) or isinstance(d, bool):
                 raise ValidationError(f"invariant factors must be ints, got {d!r}")
             if d == 0:
@@ -342,9 +353,10 @@ class AbelianHom:
                 f"images matrix has {self.images.rows} rows but the target "
                 f"has {self.target.rank} invariant factors"
             )
-        rows = tuple(zip(self.images.entries, self.target.invariant_factors))
-        if any(not 0 <= x < d for row, d in rows for x in row):
-            reduced = IntMatrix(tuple(tuple(x % d for x in row) for row, d in rows),
+        factors = self.target.invariant_factors
+        if any(lo < 0 or hi >= d for (lo, hi), d in zip(self.images._row_bounds, factors)):
+            reduced = IntMatrix(tuple(tuple(x % d for x in row)
+                                      for row, d in zip(self.images.entries, factors)),
                                 self.images.cols)
             object.__setattr__(self, "images", reduced)
 

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from math import prod
 from typing import Any, Optional, Sequence
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, quoted
 from .lattice import AbelianHom, FiniteAbelianGroup, IntMatrix
 from .towers import (
     DEFAULT_DECK_BITS_CAP,
@@ -51,8 +51,7 @@ def _parse_int(x: Any, what: str) -> int:
         try:
             return int(x.strip(), 10)
         except ValueError as exc:
-            quoted = repr(x) if len(x) <= 32 else f"{x[:32]!r}... ({len(x)} characters)"
-            raise ValidationError(f"{what}: cannot parse integer from {quoted}") from exc
+            raise ValidationError(f"{what}: cannot parse integer from {quoted(x)}") from exc
     raise ValidationError(f"{what}: expected an integer or decimal string, "
                           f"got {type(x).__name__}")
 
@@ -241,23 +240,34 @@ def tower_report_to_json(report: TowerReport) -> dict:
 
 def dumps_tower_report(report: TowerReport) -> str:
     """`dumps_canonical(tower_report_to_json(report))`, written one
-    f-string per level instead of through the indented encoder."""
+    f-string per level instead of through the indented encoder.
+
+    The cusp names are sorted and quoted once for each run of levels
+    with the same names, and each degree is converted to decimal once,
+    for the degree and for every cusp whose multiplicity equals it."""
     if not report.levels:
         return '{\n  "levels": []\n}\n'
     quote = encode_basestring_ascii
     unbounded = quote(UNBOUNDED)
     note = f'      "note": {quote(_DISCONNECTED_NOTE)},\n'
+    names = keys = None
     levels = []
     for lv in report.levels:
-        cusps = ",\n".join(f"        {quote(name)}: {m}"
-                           for name, m in sorted(lv.cusp_multiplicities.items()))
+        multiplicities = lv.cusp_multiplicities
+        if multiplicities.keys() != keys:
+            keys = multiplicities.keys()
+            names = [(name, f"        {quote(name)}: ") for name in sorted(keys)]
+        degree = str(lv.degree)
+        cusps = ",\n".join([
+            key + (degree if (m := multiplicities[name]) == lv.degree else str(m))
+            for name, key in names])
         cusps = f"{{\n{cusps}\n      }}" if cusps else "{}"
         via = lv.factoring_fibration
         levels.append(
             f'    {{\n      "b1_bound": {unbounded if lv.b1_bound is None else lv.b1_bound},\n'
             f'      "connected": {"true" if lv.connected else "false"},\n'
             f'      "cusp_multiplicities": {cusps},\n'
-            f'      "degree": {lv.degree},\n'
+            f'      "degree": {degree},\n'
             f'      "factoring_fibration": {"null" if via is None else quote(via)},\n'
             f'{"" if lv.connected else note}'
             f'      "total_cusps": {"null" if lv.total_cusps is None else lv.total_cusps}\n    }}')

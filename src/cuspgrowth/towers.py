@@ -275,25 +275,21 @@ def _analyze(base: BaseSpace, levels: Sequence[AbelianHom]) -> list[LevelReport]
             cache[rows] = images
         if len(factors) == 1:
             (d,) = factors
+            degree = d
             g_images, g_cusps, g_kernels = images
             connected = gcd(d, g_images) == 1
             indices = [gcd(d, g) for g in g_cusps]
             killed = next((i for i, g in enumerate(g_kernels) if g % d == 0), None)
         else:
+            degree = rho.target.order
             connected = _index(factors, rows) == 1
             indices = [_index(factors, [row[span] for row in images])
                        for span in cusp_spans]
             killed = next((i for i, span in enumerate(fibration_spans)
                            if _kills(factors, [row[span] for row in images])), None)
         bound, via = (None, None) if killed is None else bounds[killed]
-        reports.append(LevelReport(
-            degree=rho.target.order,
-            connected=connected,
-            cusp_multiplicities=dict(zip(names, indices)),
-            total_cusps=sum(indices) if connected else None,
-            b1_bound=bound,
-            factoring_fibration=via,
-        ))
+        reports.append(LevelReport(degree, connected, dict(zip(names, indices)),
+                                   sum(indices) if connected else None, bound, via))
     return reports
 
 

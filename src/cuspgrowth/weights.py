@@ -33,7 +33,7 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Iterator, Optional, Sequence
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, quoted
 
 #: Refuse `enumerate_tuples` searches whose raw candidate count exceeds this.
 DEFAULT_ENUMERATION_CAP = 5_000_000
@@ -54,12 +54,12 @@ def parse_fraction(text: str) -> Fraction:
     """
     match = _RATIONAL.fullmatch(text.strip())
     if not match:
-        raise ValidationError(f"cannot parse exact rational from {text!r}")
+        raise ValidationError(f"cannot parse exact rational from {quoted(text)}")
     num, den = match.groups()
     try:
         return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"cannot parse exact rational from {text!r}") from exc
+        raise ValidationError(f"cannot parse exact rational from {quoted(text)}") from exc
 
 
 @dataclass(frozen=True)

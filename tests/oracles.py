@@ -8,9 +8,12 @@ comparisons and sums, the integrality condition by a direct double
 loop, contractions by listing every partition into the right
 number of blocks, field products by long division, and moduli, group
 orders and primes by the plain searches below.  They are slow and only
-meant for small inputs.
+meant for small inputs.  Text views come from the plain renderers: CSV
+from `csv.writer`, tables by padding every cell with `str.ljust`.
 """
 
+import csv
+import io
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt
@@ -469,3 +472,40 @@ def c_tower_report_json(levels) -> dict:
             for lv in levels
         ]
     }
+
+
+def csv_text(headers, rows) -> str:
+    """CSV as `csv.writer` writes it on the running interpreter."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def render_table(headers, rows) -> str:
+    """Columns padded cell by cell with `str.ljust`, two spaces apart,
+    under a dash rule, each line stripped of trailing whitespace."""
+    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
+    lines = []
+    for idx, row in enumerate(cells):
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        if idx == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"
+
+
+def tower_table(report) -> tuple[list, list]:
+    """Headers and rows of the tower table, every value as it is, with
+    the cusp columns in name order."""
+    names = sorted(report.levels[0].cusp_multiplicities) if report.levels else []
+    headers = (["level", "degree", "connected"] + names
+               + ["total_cusps", "b1_bound", "fibration"])
+    rows = [[j, lv.degree, lv.connected]
+            + [lv.cusp_multiplicities[name] for name in names]
+            + ["n/a" if lv.total_cusps is None else lv.total_cusps,
+               "UNBOUNDED_BY_METHOD" if lv.b1_bound is None else lv.b1_bound,
+               lv.factoring_fibration or "-"]
+            for j, lv in enumerate(report.levels, start=1)]
+    return headers, rows

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import random
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 import oracles
 from cuspgrowth import HIRZEBRUCH, c_tower_report, counts, sl_order
-from cuspgrowth.cli import _any_int_digits, main
-from cuspgrowth.serialize import dumps_canonical
+from cuspgrowth.cli import _any_int_digits, _render_csv, _render_table, main
+from cuspgrowth.serialize import dumps_canonical, tower_report_to_json, tower_spec_from_json
+from cuspgrowth.towers import TowerReport
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +282,33 @@ class TestTowerCommands:
         assert out == ""
         assert validation_message(code, err).startswith(path + ":")
         assert len(err.encode()) < 1024
+
+    def test_names_that_need_quoting(self, tmp_path, capsys):
+        """Cusp and fibration names holding a comma, a quote, CR and LF come
+        out in each format as the reference writers put them: JSON from
+        `json.dumps`, CSV from `csv.writer`, the table from `str.ljust`."""
+        spec = json.loads(Path(SPEC).read_text())
+        names = iter(['a,b', 'say "hi"', "cr\rx", "lf\ny", 'f,"0"\r\n', "F1"])
+        for entry in spec["base"]["cusps"] + spec["base"]["fibrations"]:
+            entry["name"] = next(names)
+        spec["levels"] += [  # cyclic levels, one killing F0 and one disconnected
+            {"invariant_factors": ["7"], "images": [["1", "2", "3", "0", "0"]]},
+            {"invariant_factors": ["8"], "images": [["2", "4", "0", "6", "0"]]},
+            {"invariant_factors": ["9"], "images": [["1", "1", "1", "1", "1"]]},
+        ]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        parsed = tower_spec_from_json(spec)
+        report = TowerReport(tuple(oracles.analyze_level(parsed.base, rho)
+                                   for rho in parsed.levels))
+        expected = {"json": dumps_canonical(tower_report_to_json(report)),
+                    "csv": oracles.csv_text(*oracles.tower_table(report)),
+                    "table": oracles.render_table(*oracles.tower_table(report))}
+        assert 'f,"0"' in expected["table"] and '"f,""0""' in expected["csv"]
+        for fmt, text in expected.items():
+            code, out, err = run_cli(capsys, "tower", "analyze", "--spec", str(path),
+                                     "--format", fmt)
+            assert (code, out, err) == (0, text, ""), fmt
 
     def analyze_levels(self, tmp_path, capsys, levels):
         """Exit code, stdout and stderr of `tower analyze --format json`
@@ -701,6 +730,32 @@ class TestParseErrors:
         assert out == ""
         assert validation_message(code, err) == "resource caps must be positive"
 
+    @pytest.mark.parametrize("argv", [
+        ["dm", "check", "--tuple", None],
+        ["dm", "contract", "--tuple", "1/2,1/2,1/2,1/2", "--blocks", None],
+        ["tower", "run", "--family", "C", "--genus", "2", "--depth", "3", "--divisors", None],
+        ["tower", "run", "--family", None, "--prime", "3", "--depth", "3"],
+        ["congruence", "orders", "--family", None, "--m", "2", "--q", "3"],
+    ], ids=["dm-check-tuple", "dm-contract-blocks", "tower-run-divisors",
+            "tower-run-family", "congruence-orders-family"])
+    def test_long_value_is_quoted_by_prefix_and_length(self, capsys, argv):
+        """A value that does not parse is quoted by its first 32 characters
+        and its length, so the record stays small."""
+        value = "#" * 100_000
+        code, out, err = run_cli(capsys, *(value if a is None else a for a in argv))
+        assert out == ""
+        assert f"{value[:32]!r}... (100000 characters)" in validation_message(code, err)
+        assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("length, quoted", [(32, repr("#" * 32)),
+                                                (33, f"{'#' * 32!r}... (33 characters)")],
+                             ids=["32", "33"])
+    def test_value_quoted_whole_up_to_32_characters(self, capsys, length, quoted):
+        code, out, err = run_cli(capsys, "tower", "run", "--family", "C", "--genus", "2",
+                                 "--depth", "3", "--divisors", "#" * length)
+        assert out == ""
+        assert validation_message(code, err) == f"cannot parse divisors from {quoted}"
+
     def test_parser_is_built_once_and_not_on_import(self):
         code = (
             "import cuspgrowth, cuspgrowth.cli as cli\n"
@@ -714,6 +769,38 @@ class TestParseErrors:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert (lines[0], lines[-1]) == ("0", "1")
+
+
+#: Table and CSV cells: big ints, bools, None, floats (nan and inf too),
+#: and text holding the characters that CSV quotes or a table strips.
+CELLS = (st.integers(min_value=-10**600, max_value=10**600) | st.booleans() | st.none()
+         | st.floats() | st.just("")
+         | st.text(alphabet=st.sampled_from(',"\r\n\x00\t a1é'), max_size=6)
+         | st.text(max_size=4))
+
+
+class TestRenderers:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(CELLS, max_size=4), st.lists(st.lists(CELLS, max_size=4), max_size=6))
+    @example(["a"], [[""], [], [None], ["x\ry"], ["1,2"], ['"'], [None, ""]])
+    def test_csv_is_the_writers(self, headers, rows):
+        """Rows of zero, one or more fields, every one as `csv.writer` on
+        this interpreter writes it (or refuses it: 3.10 refuses a NUL)."""
+        try:
+            expected = oracles.csv_text(headers, rows)
+        except csv.Error:
+            with pytest.raises(csv.Error):
+                _render_csv(headers, rows)
+        else:
+            assert _render_csv(headers, rows) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+        st.lists(CELLS, min_size=n, max_size=n),
+        st.lists(st.lists(CELLS, min_size=n, max_size=n), max_size=6))))
+    def test_table_is_the_ljust_table(self, table):
+        headers, rows = table
+        assert _render_table(headers, rows) == oracles.render_table(headers, rows)
 
 
 SPEC = str(Path(__file__).parent / "golden" / "explicit_spec.json")

@@ -186,6 +186,28 @@ class TestFiniteAbelianGroup:
         g = FiniteAbelianGroup((2, 4))
         assert g.order == 8
 
+    @pytest.mark.parametrize("factors, expected", [
+        ((5,), (5,)),
+        ([5], (5,)),
+        ((10**50,), (10**50,)),
+        ((1,), ()),
+        ((True,), "invariant factors must be ints, got True"),
+        ((0,), "zero invariant factor means an infinite quotient; deck groups must be finite"),
+        ((-3,), "invariant factors must be positive, got -3"),
+        ((5.0,), "invariant factors must be ints, got 5.0"),
+        ((2, 3), "invariant factors must form a divisor chain; 2 does not divide 3"),
+    ])
+    def test_one_factor_and_its_neighbours(self, factors, expected):
+        """A tuple of one int above 1 is kept as it is; every other input
+        is canonicalized or refused as by the general checks."""
+        if isinstance(expected, tuple):
+            kept = FiniteAbelianGroup(factors).invariant_factors
+            assert (kept, type(kept)) == (expected, tuple)
+        else:
+            with pytest.raises(ValidationError) as exc:
+                FiniteAbelianGroup(factors)
+            assert str(exc.value) == expected
+
 
 class TestCokernel:
     def test_unit_generator_kills_everything(self):
@@ -343,6 +365,30 @@ class TestAbelianHomReduction:
     def test_unreduced_images_are_reduced(self, row):
         rho = AbelianHom(FiniteAbelianGroup((3, 12)), IntMatrix.from_rows([[0, 1, 2], row]))
         assert rho.images.entries == ((0, 1, 2), tuple(x % 12 for x in row))
+
+    def test_one_matrix_shared_by_cyclic_levels(self):
+        """The row bounds are taken once per matrix and hold for every
+        modulus: a row is kept where it is reduced and reduced elsewhere."""
+        images = IntMatrix.from_rows([[0, 4, 6]])
+        for d in (7, 100, 3**40):
+            assert AbelianHom(FiniteAbelianGroup((d,)), images).images is images
+        for d, reduced in ((6, (0, 4, 0)), (5, (0, 4, 1)), (2, (0, 0, 0))):
+            assert AbelianHom(FiniteAbelianGroup((d,)), images).images.entries == (reduced,)
+        negative = IntMatrix.from_rows([[-1, 0, 5]])
+        assert AbelianHom(FiniteAbelianGroup((9,)), negative).images.entries == ((8, 0, 5),)
+
+    def test_empty_rows_are_kept(self):
+        images = IntMatrix(((), ()), 0)
+        assert AbelianHom(FiniteAbelianGroup((2, 4)), images).images is images
+        assert AbelianHom(FiniteAbelianGroup(()), IntMatrix((), 3)).images.entries == ()
+
+    def test_cached_bounds_stay_out_of_eq_hash_and_repr(self):
+        a, b = IntMatrix.from_rows([[1, -2], [3, 4]]), IntMatrix.from_rows([[1, -2], [3, 4]])
+        before = (repr(a), hash(a))
+        assert a._row_bounds == ((-2, 1), (3, 4))
+        assert (repr(a), hash(a)) == before == (repr(b), hash(b))
+        assert a == b and "_row_bounds" not in repr(a)
+        assert IntMatrix(((),), 0)._row_bounds == ((0, 0),)
 
 
 class TestImageIndex:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from cuspgrowth import (
     HIRZEBRUCH,
     AbelianHom,
@@ -28,7 +30,7 @@ from cuspgrowth.serialize import (
     tower_spec_from_json,
     tower_spec_to_json,
 )
-from cuspgrowth.cli import _any_int_digits
+from cuspgrowth.cli import _any_int_digits, _render_csv, _render_table, _tower_table
 from cuspgrowth.towers import LevelReport, TowerReport, analyze_level
 
 
@@ -186,13 +188,14 @@ HUGE = 10**4400 + 7
 
 
 @st.composite
-def tower_reports(draw):
+def tower_reports(draw, one_cusp_set=st.booleans()):
     """A report of 0-5 levels over one set of 0-4 cusp names (in a random
     insertion order per level), or over a set drawn per level, with
-    connected and disconnected levels, unbounded and bounded b1, and
-    degrees up to past 4,300 digits."""
+    connected and disconnected levels, unbounded and bounded b1, degrees
+    up to past 4,300 digits, and multiplicities that equal the degree
+    as a distinct int object."""
     names = draw(st.lists(NAMES, max_size=4, unique=True))
-    one_cusp_set = draw(st.booleans())
+    one_cusp_set = draw(one_cusp_set)
     fibrations = draw(st.lists(NAMES, min_size=1, max_size=3))
     ints = st.integers(min_value=-5, max_value=10**40)
     levels = []
@@ -201,15 +204,25 @@ def tower_reports(draw):
             names = draw(st.lists(NAMES, max_size=4, unique=True))
         order = draw(st.permutations(names))
         connected = draw(st.booleans())
+        degree = draw(ints | st.just(HUGE))
         levels.append(LevelReport(
-            degree=draw(ints | st.just(HUGE)),
+            degree=degree,
             connected=connected,
-            cusp_multiplicities={name: draw(ints) for name in order},
+            cusp_multiplicities={name: -(-degree) if draw(st.booleans()) else draw(ints)
+                                 for name in order},
             total_cusps=draw(ints) if connected else None,
             b1_bound=draw(st.none() | ints),
             factoring_fibration=draw(st.none() | st.sampled_from(fibrations)),
         ))
     return TowerReport(tuple(levels))
+
+
+def assert_text_views_are_the_references(report):
+    """The CLI's table and CSV of a report equal the reference renderers'
+    output on the reference rows."""
+    view, expected = _tower_table(report), oracles.tower_table(report)
+    assert _render_table(*view) == oracles.render_table(*expected)
+    assert _render_csv(*view) == oracles.csv_text(*expected)
 
 
 class TestTowerReportWriter:
@@ -219,6 +232,23 @@ class TestTowerReportWriter:
         with _any_int_digits():
             assert dumps_tower_report(report) == dumps_canonical(tower_report_to_json(report))
 
+    @settings(max_examples=200, deadline=None)
+    @given(tower_reports(one_cusp_set=st.just(True)))
+    def test_table_and_csv_are_the_references(self, report):
+        with _any_int_digits():
+            assert_text_views_are_the_references(report)
+
+    def test_multiplicity_equal_to_the_degree_as_another_object(self):
+        degree = HUGE
+        twin = -(-degree)
+        assert twin == degree and twin is not degree
+        levels = (LevelReport(degree, True, {"b": twin, "a": 1, "c": degree}, twin + 2, 6, "x"),
+                  LevelReport(7, False, {"c": 7, "a": 7, "b": 1}, None, None, None))
+        report = TowerReport(levels)
+        with _any_int_digits():
+            assert dumps_tower_report(report) == dumps_canonical(tower_report_to_json(report))
+            assert_text_views_are_the_references(report)
+
     # The B family needs an odd prime, so it takes p = 3 and 5.
     @pytest.mark.parametrize("build, p", [(build_a_tower, 2), (build_a_tower, 3),
                                           (build_b_tower, 3), (build_b_tower, 5)],
@@ -226,6 +256,7 @@ class TestTowerReportWriter:
     def test_depth_1000_towers(self, build, p):
         report = analyze_tower(build(p, 1000))
         assert dumps_tower_report(report) == dumps_canonical(tower_report_to_json(report))
+        assert_text_views_are_the_references(report)
 
     def test_empty_report_and_no_cusps(self):
         empty = TowerReport(())
