@@ -29,6 +29,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
+# Every family up front: bench/tracing.py wraps the modules `import cuspgrowth.cli` loads.
 from . import counts, weights
 from .counts import GroupFamily
 from .errors import ResourceLimitError, ValidationError, quoted
@@ -73,7 +74,8 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     and joins to a non-empty text, needs no quoting, so the joined text
     is the writer's line.  Every other row goes through `csv.writer`,
     which keeps the running interpreter's own quoting (3.13 quotes a
-    lone CR, 3.10-3.12 do not) and its errors (3.10 refuses a NUL).
+    lone CR, 3.10-3.12 do not).  A row it cannot write (3.10 refuses a
+    NUL) is a `ValidationError`.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -82,7 +84,10 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
         text = ",".join(map(str, row))
         if (not text or text.count(",") >= len(row) or '"' in text or "\r" in text
                 or "\n" in text or "\0" in text or None in row):
-            writer.writerow(row)
+            try:
+                writer.writerow(row)
+            except csv.Error as exc:
+                raise ValidationError(f"cannot write the row as csv: {exc}") from exc
             text = buf.getvalue()[:-1]
             buf.seek(0)
             buf.truncate()
@@ -381,11 +386,21 @@ def _error_record(kind: str, message: str, **extra: Any) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise `ValidationError`, so they end
-    as a JSON error record with exit 2 instead of usage text.  Subparsers
-    are built from the same class."""
+    as a JSON error record with exit 2 instead of usage text, and whose
+    messages quote a value through `quoted`.  Subparsers are built from
+    the same class."""
 
     def error(self, message: str):
         raise ValidationError(f"{self.prog}: {message}")
+
+    def _get_values(self, action, arg_strings):
+        try:
+            return super()._get_values(action, arg_strings)
+        except argparse.ArgumentError as exc:
+            # An invalid int, float or choice is quoted whole with %r.
+            for text in arg_strings:
+                exc.message = exc.message.replace(repr(text), quoted(text))
+            raise
 
 
 @cache

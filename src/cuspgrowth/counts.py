@@ -21,15 +21,15 @@ primes: `d_tower_columns` takes them from one sieve of a range,
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, product, repeat
-from math import gcd, isqrt, log2
+from math import gcd
 from typing import Optional, Sequence
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import PRINTABLE_BITS, ResourceLimitError, ValidationError, reported
 from .gf import PrimePowerField, field
+from .primes import DEFAULT_PRIME_CAP, factorize, is_prime, prime_power_base, primes_in_range
 
 #: Refuse brute-force searches whose raw matrix space exceeds this.  The
 #: slowest configurations it admits are SL(5, 2) at about 0.7 s,
@@ -37,31 +37,12 @@ from .gf import PrimePowerField, field
 #: per in-process call (2-vCPU VM, Python 3.11).
 DEFAULT_BRUTE_CAP = 1 << 28
 
-#: A brute-force refusal reports the raw space exactly up to this many
-#: bits: 2^14284 < 10^4300, the interpreter's default limit on the
-#: digits of an int printed in decimal.
-_EXACT_SPACE_BITS = 14_284
-
 #: Refuse a formula order whose lower estimate of its bits,
 #: m(m-1)/2 * (bits(q) - 1) + 1, is above this; the order itself has
 #: up to about 3.2 times as many (at q = 3).  The largest orders it admits,
 #: SL_632(F_3) and U_632(F_3) of about 634,000 bits, take about 1.1 s
 #: to build and print in a fresh CLI process.
 DEFAULT_ORDER_BITS_CAP = 200_000
-
-#: Refuse prime ranges reaching past this: the sieve holds one byte per
-#: integer of its range.  `d_tower_columns` and `exponent_checks` sieve
-#: their range once under it, and then take about 1.5 microseconds per
-#: prime: a whole `congruence exponents` process over the primes 5..10^6
-#: takes about 0.5 s, and to 10^7 2-3 s at a peak RSS near 390 MiB
-#: (2-vCPU VM, Python 3.11).  A list given to `d_tower_series` is checked
-#: by `is_prime` and has no cap.
-DEFAULT_PRIME_CAP = 10**6
-
-#: Trial division gives up past this divisor.  `factorize` refuses a
-#: cofactor above its square (about 10^12) with no smaller factor, and
-#: `is_prime` such an n at or above the last of `_SPRP_BOUNDS`.
-MAX_TRIAL_DIVISOR = 1 << 20
 
 
 class GroupFamily(str, enum.Enum):
@@ -94,149 +75,6 @@ class GroupOrder:
     def __post_init__(self):
         if self.order < 1:
             raise ValidationError("group orders are positive")
-
-
-def _least_divisor(n: int, start: int = 2) -> int:
-    """Least divisor d >= start of n > 1 (n itself when none is at most
-    sqrt(n)), by trial division over 2 and the odd integers; `start` is 2
-    or odd.  Raises past MAX_TRIAL_DIVISOR."""
-    d = start
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        if d > MAX_TRIAL_DIVISOR:
-            raise ResourceLimitError(
-                f"trial division of {n} passed the largest trial divisor "
-                f"{MAX_TRIAL_DIVISOR} without a factor",
-                space=isqrt(n), cap=MAX_TRIAL_DIVISOR,
-            )
-        d += 1 if d == 2 else 2
-    return n
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by bounded trial division; fine at desk scale."""
-    if n < 1:
-        raise ValidationError(f"cannot factor {n}")
-    out: dict[int, int] = {}
-    d = 2
-    while n > 1:
-        d = _least_divisor(n, d)
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-    return out
-
-
-#: The strong-probable-prime test to the first k prime bases decides
-#: every n below the least strong pseudoprime to all of them, the bound
-#: at the same place as k in `_SPRP_COUNTS` (Pomerance-Selfridge-Wagstaff
-#: 1980, Jaeschke 1993, Sorenson-Webster 2017).
-_SPRP_BOUNDS = (
-    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
-    3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
-    318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981,
-)
-_SPRP_COUNTS = (1, 2, 3, 4, 5, 6, 7, 9, 12, 13)
-_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def is_prime(n: int) -> bool:
-    """Exact primality: a deterministic strong-probable-prime test below
-    the last of `_SPRP_BOUNDS`, bounded trial division at or above it."""
-    i = bisect_right(_SPRP_BOUNDS, n)
-    if i == len(_SPRP_BOUNDS):
-        return _least_divisor(n) == n
-    if n < 4:
-        return n > 1
-    # Every base is below n here, and one that divides n fails: then
-    # a^d mod n shares that factor with n, so it is never 1 or n - 1.
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
-    d = (n - 1) >> s
-    for a in _SPRP_BASES[:_SPRP_COUNTS[i]]:
-        x = pow(a, d, n)
-        if x != 1 and x != n - 1:
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-    return True
-
-
-def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) by Newton's method on ints: one step from any seed
-    x > 0 lands at or above it, and the steps then fall to it."""
-    def step(x: int) -> int:
-        return ((k - 1) * x + n // x ** (k - 1)) // k
-
-    s = max(n.bit_length() // k - 52, 0)
-    x = step(int(2 ** (log2(n) / k - s)) + 1 << s)
-    while (y := step(x)) < x:
-        x = y
-    return x
-
-
-def prime_power_base(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p^e, or raise if q is not a prime power.
-
-    A prime q below the last of `_SPRP_BOUNDS` takes one test; any other
-    q is reduced to r^e, e maximal, by exact roots, and r is tested.
-    """
-    if q < 2:
-        raise ValidationError(f"{q} is not a prime power")
-    if q < _SPRP_BOUNDS[-1] and is_prime(q):
-        return q, 1
-    r, e = q, 1
-    for k in _sieve(2, q.bit_length()):
-        while r >> k:  # a k-th root of r would be at least 2
-            # A k-th root below 2^40 is within 0.01 of the float 2^t: the
-            # error of log2(r) is about 2^-52 * k * t, so that of 2^t is
-            # about 2^-52 * t * 2^t.  Most candidates fail on the low bits.
-            # The float guess and the mod-2^64 check only bound the cost;
-            # x**k == r decides.  On a 4,300-digit q this loop takes 0.05 s,
-            # `_iroot` for every k 0.4 s, and float-free Newton about 5 s.
-            t = log2(r) / k
-            x = round(2**t) if t < 40 else _iroot(r, k)
-            if pow(x, k, 1 << 64) != r % (1 << 64) or x**k != r:
-                break
-            r, e = x, e * k
-    if not is_prime(r):
-        raise ValidationError(f"{q} is not a prime power")
-    return r, e
-
-
-def primes_in_range(lo: int, hi: int, cap: int = DEFAULT_PRIME_CAP) -> list[int]:
-    """Primes in [lo, hi] by a sieve of Eratosthenes over that segment.
-
-    Refuses when hi exceeds `cap`.
-    """
-    if hi > cap:
-        raise ResourceLimitError(
-            f"prime range up to {hi} exceeds the cap {cap}", space=hi, cap=cap
-        )
-    return _sieve(lo, hi)
-
-
-def _sieve(lo: int, hi: int) -> list[int]:
-    lo = max(lo, 2)
-    return list(compress(range(lo, hi + 1), _prime_flags(lo, hi)))
-
-
-def _prime_flags(lo: int, hi: int) -> bytearray:
-    """One byte per integer of [lo, hi], lo >= 2: 1 at each prime, else 0."""
-    if hi < lo:
-        return bytearray()
-    root = isqrt(hi)
-    small = bytearray([1]) * (root + 1)
-    segment = bytearray([1]) * (hi - lo + 1)
-    for d in range(2, root + 1):
-        if small[d]:
-            small[d * d::d] = bytes(len(range(d * d, root + 1, d)))
-            start = max(d * d, -(-lo // d) * d)
-            segment[start - lo::d] = bytes(len(range(start, hi + 1, d)))
-    return segment
 
 
 def sl2_order(n: int) -> GroupOrder:
@@ -312,13 +150,15 @@ def _field_order(
     q^(m(m-1)/2), the unitriangular order, divides the order of every
     field family (of SU too, as gcd(q, q + 1) = 1), so the order has at
     least m(m-1)/2 * (bits(q) - 1) + 1 bits; the refusal rests on that
-    estimate and comes before any product is built.
+    estimate, reported as `errors.reported` does, and comes before any
+    product is built.
     """
     if m < 2:
         raise ValidationError(f"matrix size must be >= 2, got {m}")
     prime_power_base(q)
     bits = m * (m - 1) // 2 * (q.bit_length() - 1) + 1
     if cap is not None and bits > cap:
+        bits = reported(bits, cap)
         raise ResourceLimitError(
             f"the order has at least {bits} bits, above the cap of {cap} bits",
             bits,
@@ -518,10 +358,10 @@ def brute_force_order(
 
     Refuses when the raw space of candidate matrices, q^(m^2) over the
     ground field ((q^2)^(m^2) in the unitary cases, N^4 for SL2_ZN),
-    holds more than `cap` of them.  The refusal reports that count when
-    it has at most `_EXACT_SPACE_BITS` bits.  A larger space is not
-    built when its lower bound on bits already settles the refusal, and
-    the refusal then reports 2^bits(cap), a count the space reaches.
+    holds more than `cap` of them.  The space is not built when its
+    lower bound on bits already settles the refusal, which reports the
+    count as `errors.reported` does: exactly when it prints, else one
+    the space reaches.
     """
     if cap < 1:
         raise ValidationError("cap must be positive")
@@ -536,15 +376,13 @@ def brute_force_order(
         p, e = prime_power_base(q)
         base, exponent = (q if family is GroupFamily.SL else q * q), m * m
     lower = exponent * (base.bit_length() - 1) + 1  # bits of base**exponent, at least
-    space = base**exponent if lower <= max(cap.bit_length(), _EXACT_SPACE_BITS) else None
+    space = base**exponent if lower <= max(cap.bit_length(), PRINTABLE_BITS) else None
     if space is None or space > cap:
-        exact = space is not None and space.bit_length() <= _EXACT_SPACE_BITS
-        if not exact:
-            space = 1 << cap.bit_length()
+        shown = reported(space, cap)
         raise ResourceLimitError(
-            f"raw search space {'' if exact else 'of at least '}{space} "
+            f"raw search space {'' if shown == space else 'of at least '}{shown} "
             f"exceeds the cap {cap}",
-            space=space,
+            space=shown,
             cap=cap,
         )
     if family is GroupFamily.SL2_ZN:

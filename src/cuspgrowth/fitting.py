@@ -1,7 +1,7 @@
 """Log-log power-law exponent fitting, and the exponent checks of the
 congruence D-tower model.
 
-Fits are floating point over exact counts; `counts` seeds integer roots
+Fits are floating point over exact counts; `primes` seeds integer roots
 from floats but confirms each exactly.  The fit is least squares of log
 y against log x (natural logs), turning a power law y = C * x^a into
 slope a and intercept log C.  `exponent_checks` sieves its prime range
@@ -15,8 +15,9 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .counts import DEFAULT_PRIME_CAP, _d_tower_columns, primes_in_range
+from .counts import _d_tower_columns
 from .errors import ValidationError
+from .primes import DEFAULT_PRIME_CAP, primes_in_range
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ nonzero row a 1.  The tables are the field's arithmetic: callers index
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
 
 from .errors import ResourceLimitError, ValidationError
+from .primes import is_prime
 
 _MAX_TABLE_ELEMENTS = 1 << 10  # add and mul tables are quadratic in field size
 
@@ -37,7 +37,7 @@ class PrimePowerField:
                 f"arithmetic (limit {_MAX_TABLE_ELEMENTS})",
                 space=size, cap=_MAX_TABLE_ELEMENTS,
             )
-        if any(p % k == 0 for k in range(2, isqrt(p) + 1)):  # p <= 1,024 here
+        if not is_prime(p):
             raise ValidationError(f"characteristic must be a prime, got {p}")
         self.p = p
         self.n = n

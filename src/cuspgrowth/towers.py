@@ -31,8 +31,7 @@ from functools import cached_property
 from math import gcd
 from typing import Any, Optional, Sequence
 
-from .counts import is_prime
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, quoted, reported
 from .lattice import (
     AbelianHom,
     FiniteAbelianGroup,
@@ -42,6 +41,7 @@ from .lattice import (
     _product_rows,
     smith_normal_form,
 )
+from .primes import is_prime
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class CuspData:
         rank = smith_normal_form(self.sublattice).rank
         if rank != self.sublattice.cols:
             raise ValidationError(
-                f"cusp {self.name!r}: sublattice generators are linearly dependent"
+                f"cusp {quoted(self.name)}: sublattice generators are linearly dependent"
             )
 
 
@@ -77,14 +77,14 @@ class FibrationData:
 
     def __post_init__(self):
         if self.target_rank < 1:
-            raise ValidationError(f"fibration {self.name!r}: target rank must be >= 1")
+            raise ValidationError(f"fibration {quoted(self.name)}: target rank must be >= 1")
         if self.fiber_genus < 0 or self.fiber_punctures < 0:
             raise ValidationError(
-                f"fibration {self.name!r}: genus and puncture count must be >= 0"
+                f"fibration {quoted(self.name)}: genus and puncture count must be >= 0"
             )
         if 2 * self.fiber_genus + self.fiber_punctures - 1 < 1:
             raise ValidationError(
-                f"fibration {self.name!r}: fiber must be hyperbolic or parabolic "
+                f"fibration {quoted(self.name)}: fiber must be hyperbolic or parabolic "
                 "(2g + b - 1 >= 1)"
             )
 
@@ -105,13 +105,13 @@ class BaseSpace:
         for c in self.cusps:
             if c.sublattice.rows != self.ambient_rank:
                 raise ValidationError(
-                    f"cusp {c.name!r} sublattice has {c.sublattice.rows} rows, "
+                    f"cusp {quoted(c.name)} sublattice has {c.sublattice.rows} rows, "
                     f"expected {self.ambient_rank}"
                 )
         for f in self.fibrations:
             if f.kernel_sublattice.rows != self.ambient_rank:
                 raise ValidationError(
-                    f"fibration {f.name!r} kernel has {f.kernel_sublattice.rows} rows, "
+                    f"fibration {quoted(f.name)} kernel has {f.kernel_sublattice.rows} rows, "
                     f"expected {self.ambient_rank}"
                 )
 
@@ -329,16 +329,17 @@ def _prime_power_tower(
     and each modulus is the previous one times p.
 
     The top order p^depth has at least depth * (b - 1) + 1 bits, for b
-    the bit length of p.  When that bound is already above `cap`, it is
-    what the refusal reports, and p^depth is never computed.  The size
-    check comes before the primality test, so that a huge p is refused
-    by its size rather than by trial division.
+    the bit length of p.  When that bound is already above `cap`, the
+    refusal reports it as `errors.reported` does, and p^depth is never
+    computed.  The size check comes before the primality test, so that a
+    huge p is refused by its size rather than by trial division.
     """
     if p >= 2 and depth >= 1:
         bits = depth * (p.bit_length() - 1) + 1
         if bits <= cap:
             bits = (p**depth).bit_length()
         if bits > cap:
+            bits = reported(bits, cap)
             raise ResourceLimitError(
                 f"the top deck group Z/{p}^{depth} has an order of at least {bits} "
                 f"bits, above the cap of {cap} bits",

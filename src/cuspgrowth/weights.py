@@ -33,7 +33,7 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Iterator, Optional, Sequence
 
-from .errors import ResourceLimitError, ValidationError, quoted
+from .errors import PRINTABLE_BITS, ResourceLimitError, ValidationError, quoted, reported
 
 #: Refuse `enumerate_tuples` searches whose raw candidate count exceeds this.
 DEFAULT_ENUMERATION_CAP = 5_000_000
@@ -364,12 +364,6 @@ def find_contraction(
         targets.remove(total)
 
 
-def enumeration_space(length: int, max_denominator: int) -> int:
-    """Raw candidate count for `enumerate_tuples`: multisets of size
-    `length` drawn from the max_denominator - 1 admissible numerators."""
-    return comb(max_denominator - 1 + length - 1, length)
-
-
 def enumerate_tuples(
     length: int,
     max_denominator: int,
@@ -388,11 +382,19 @@ def enumerate_tuples(
         raise ValidationError(f"length must be >= 4, got {length}")
     if max_denominator < 2:
         raise ValidationError(f"max denominator must be >= 2, got {max_denominator}")
-    space = enumeration_space(length, max_denominator)
-    if space > cap:
+    # The raw space is the multisets of `length` of the d - 1 numerators:
+    # C(n, length) = C(n, k) for n = d + length - 2 and k = min(length, d - 2),
+    # at least (n // k)^k.  That bound on its bits settles a refusal before
+    # a huge binomial is built.
+    n, k = max_denominator + length - 2, min(length, max_denominator - 2)
+    lower = k * ((n // k).bit_length() - 1) + 1 if k else 1
+    space = comb(n, k) if lower <= max(cap.bit_length(), PRINTABLE_BITS) else None
+    if space is None or space > cap:
+        shown = reported(space, cap)
         raise ResourceLimitError(
-            f"raw search space {space} exceeds the configured cap {cap}",
-            space=space,
+            f"raw search space {'' if shown == space else 'of at least '}{shown} "
+            f"exceeds the configured cap {cap}",
+            space=shown,
             cap=cap,
         )
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cuspgrowth import HIRZEBRUCH, c_tower_report, counts, sl_order
+from cuspgrowth import HIRZEBRUCH, ValidationError, c_tower_report, counts, sl_order
 from cuspgrowth.cli import _any_int_digits, _render_csv, _render_table, main
 from cuspgrowth.serialize import dumps_canonical, tower_report_to_json, tower_spec_from_json
 from cuspgrowth.towers import TowerReport
@@ -281,6 +281,34 @@ class TestTowerCommands:
         code, out, err = run_cli(capsys, "tower", "analyze", "--spec", str(spec_path))
         assert out == ""
         assert validation_message(code, err).startswith(path + ":")
+        assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("base, message", [
+        ({"rank": 1, "cusps": [{"name": None, "sublattice": [["1", "2"]]}]},
+         "cusp {}: sublattice generators are linearly dependent"),
+        ({"rank": 2, "cusps": [{"name": None, "sublattice": [["1"]]}]},
+         "cusp {} sublattice has 1 rows, expected 2"),
+        ({"rank": 1, "fibrations": [{"name": None, "kernel_sublattice": [["1"]],
+                                     "target_rank": 0, "fiber_genus": 1,
+                                     "fiber_punctures": 0}]},
+         "fibration {}: target rank must be >= 1"),
+        ({"rank": 2, "fibrations": [{"name": None, "kernel_sublattice": [["1"]],
+                                     "target_rank": 1, "fiber_genus": 1,
+                                     "fiber_punctures": 0}]},
+         "fibration {} kernel has 1 rows, expected 2"),
+    ], ids=["cusp-dependent", "cusp-rows", "fibration-rank", "fibration-rows"])
+    @pytest.mark.parametrize("length", [32, 100_000])
+    def test_long_name_is_quoted_by_prefix_and_length(self, tmp_path, capsys, base,
+                                                      message, length):
+        name = "n" * length
+        for entry in base.get("cusps", []) + base.get("fibrations", []):
+            entry["name"] = name
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"base": base, "levels": []}))
+        code, out, err = run_cli(capsys, "tower", "analyze", "--spec", str(path))
+        assert out == ""
+        quoted = repr(name) if length <= 32 else f"{name[:32]!r}... ({length} characters)"
+        assert validation_message(code, err) == message.format(quoted)
         assert len(err.encode()) < 1024
 
     def test_names_that_need_quoting(self, tmp_path, capsys):
@@ -680,6 +708,38 @@ class TestSubprocess:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["dm", "enumerate", "--length", "20000", "--max-denominator", "20000"],
+        ["congruence", "orders", "--family", "SL", "--m", str(10**4299), "--q", "3"],
+        ["tower", "run", "--family", "A", "--prime", str(10**4299 + 1),
+         "--depth", str(10**4299 + 1)],
+    ], ids=["enumerate-20000", "formula-m-4300-digits", "tower-a-4300-digits"])
+    def test_unprintable_refusal_ends_in_one_record(self, argv):
+        """Refusals whose counts have more than 4,300 digits report a count
+        that prints, as one JSON line."""
+        proc = subprocess.run([sys.executable, "-m", "cuspgrowth", *argv],
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr[-2000:]
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"]["type"] == "resource"
+
+    def test_nul_in_a_name_is_written_or_refused(self, tmp_path):
+        """3.11+ write a NUL in a cusp name as it is; 3.10's `csv.writer`
+        cannot, and the CLI then exits 2 with one JSON line."""
+        spec = json.loads(Path(SPEC).read_text())
+        spec["base"]["cusps"][0]["name"] = "nul\0x"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        proc = subprocess.run([sys.executable, "-m", "cuspgrowth", "tower", "analyze",
+                               "--spec", str(path), "--format", "csv"],
+                              capture_output=True, text=True, timeout=30)
+        if proc.returncode == 0:
+            assert proc.stderr == "" and "nul\0x" in proc.stdout
+        else:
+            assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+            (line,) = proc.stderr.splitlines()
+            assert json.loads(line)["error"]["message"].startswith("cannot write the row as csv")
+
 
 class TestParseErrors:
     # The messages are argparse's, which words them a little differently
@@ -736,8 +796,12 @@ class TestParseErrors:
         ["tower", "run", "--family", "C", "--genus", "2", "--depth", "3", "--divisors", None],
         ["tower", "run", "--family", None, "--prime", "3", "--depth", "3"],
         ["congruence", "orders", "--family", None, "--m", "2", "--q", "3"],
+        ["tower", "run", "--family", "A", "--prime", None, "--depth", "2"],
+        ["dm", "check", "--tuple", "1/2,1/2,1/2,1/2", "--format", None],
+        [None],
     ], ids=["dm-check-tuple", "dm-contract-blocks", "tower-run-divisors",
-            "tower-run-family", "congruence-orders-family"])
+            "tower-run-family", "congruence-orders-family", "tower-run-prime",
+            "dm-check-format", "command"])
     def test_long_value_is_quoted_by_prefix_and_length(self, capsys, argv):
         """A value that does not parse is quoted by its first 32 characters
         and its length, so the record stays small."""
@@ -785,11 +849,12 @@ class TestRenderers:
     @example(["a"], [[""], [], [None], ["x\ry"], ["1,2"], ['"'], [None, ""]])
     def test_csv_is_the_writers(self, headers, rows):
         """Rows of zero, one or more fields, every one as `csv.writer` on
-        this interpreter writes it (or refuses it: 3.10 refuses a NUL)."""
+        this interpreter writes it, or refused where the writer refuses it
+        (3.10 refuses a NUL)."""
         try:
             expected = oracles.csv_text(headers, rows)
         except csv.Error:
-            with pytest.raises(csv.Error):
+            with pytest.raises(ValidationError, match="cannot write the row as csv"):
                 _render_csv(headers, rows)
         else:
             assert _render_csv(headers, rows) == expected

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cuspgrowth.primes
 import oracles
 from cuspgrowth import (
     DTowerDatum,
@@ -32,18 +33,15 @@ from cuspgrowth import (
 )
 from cuspgrowth import counts
 from cuspgrowth.cli import main
-from cuspgrowth.counts import (
+from cuspgrowth.counts import _affine_coords, _laplace_plan, _wedge, order_formula
+from cuspgrowth.gf import PrimePowerField, field
+from cuspgrowth.primes import (
     _SPRP_BOUNDS,
     MAX_TRIAL_DIVISOR,
-    _affine_coords,
-    _laplace_plan,
-    _wedge,
     factorize,
     is_prime,
-    order_formula,
     prime_power_base,
 )
-from cuspgrowth.gf import PrimePowerField, field
 
 
 def _bench_workloads():
@@ -417,9 +415,10 @@ class TestDTower:
             sieves.append((lo, hi))
             return prime_flags(lo, hi)
 
-        prime_flags = counts._prime_flags
+        prime_flags = cuspgrowth.primes._prime_flags
         monkeypatch.setattr(counts, "is_prime", refuse)
-        monkeypatch.setattr(counts, "_prime_flags", flags)
+        monkeypatch.setattr(cuspgrowth.primes, "is_prime", refuse)
+        monkeypatch.setattr(cuspgrowth.primes, "_prime_flags", flags)
         for sub in ("exponents", "dtower"):
             for n in ("2", "3"):
                 for fmt in ("json", "csv", "table"):

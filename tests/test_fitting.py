@@ -15,7 +15,7 @@ from cuspgrowth import (
     su_order,
 )
 from cuspgrowth import fitting
-from cuspgrowth.counts import primes_in_range
+from cuspgrowth.primes import primes_in_range
 
 PRIMES_TO_5000 = primes_in_range(2, 5000)
 

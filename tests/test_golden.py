@@ -58,6 +58,9 @@ DM_FIND = ["dm", "find-contraction", "--tuple", "2/6,2/6,3/6,3/6,1/6,1/6",
 WIDE_SPEC = ["tower", "analyze", "--spec", str(GOLDEN / "wide_spec.json")]  # 10,010 bits
 ORDERS = ["congruence", "orders", "--family"]
 PRIMES = ["--n", "2", "--prime-min", "999900", "--prime-max", "1000050"]
+#: 4,300 digits, the most an int argument may have: refusals of counts
+#: built from it report one that prints.
+HUGE, HUGE_PRIME = str(10**4299), str(10**4299 + 1)
 #: One argv per guard and side of its cap; `record` stores the exit code
 #: and stderr of each in `refusals.json`.
 REFUSALS = {
@@ -71,6 +74,8 @@ REFUSALS = {
     "tower_a_default": ["tower", "run", "--family", "A", "--prime", "5", "--depth", "4307"],
     "tower_a_default_bound": ["tower", "run", "--family", "A", "--prime", "5",
                               "--depth", "10000000"],
+    "tower_a_default_unprintable": ["tower", "run", "--family", "A", "--prime", HUGE_PRIME,
+                                    "--depth", HUGE_PRIME],
     "tower_a_over": ["tower", "run", "--family", "A", "--prime", "2", "--depth", "100",
                      "--cap", "100"],
     "tower_a_at": ["tower", "run", "--family", "A", "--prime", "2", "--depth", "99",
@@ -102,7 +107,9 @@ REFUSALS = {
                        "--cap", "200029"],
     "formula_over": [*ORDERS, "SL", "--m", "3", "--q", "2", "--cap", "3"],
     "formula_at": [*ORDERS, "SL", "--m", "3", "--q", "2", "--cap", "4"],
+    "formula_default_unprintable": [*ORDERS, "SL", "--m", HUGE, "--q", "3"],
     "brute_default": [*ORDERS, "U", "--m", "3", "--q", "3", "--method", "brute"],
+    "brute_default_unprintable": [*ORDERS, "SL", "--m", HUGE, "--q", "3", "--method", "brute"],
     "brute_lifted": [*ORDERS, "UNITRIANGULAR_U", "--m", "3", "--q", "3", "--method", "brute",
                      "--cap", "387420489"],
     "brute_over": [*ORDERS, "SL", "--m", "3", "--q", "2", "--method", "brute",

@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuspgrowth import (
@@ -270,6 +272,30 @@ class TestEnumerate:
             enumerate_tuples(5, 6, cap=10)
         assert err.value.space == 126
         assert err.value.cap == 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(4, 40_000), st.integers(2, 40_000), st.data())
+    def test_refusal_reports_the_space_or_a_count_it_reaches(self, length, den, data):
+        """The raw space when it prints (at most 14,284 bits, under 10^4300),
+        else 2^bits(cap), above the cap and at most the space."""
+        space = comb(den + length - 2, length)
+        assume(space > 1)
+        cap = data.draw(st.integers(1, min(space - 1, 10**30)))
+        with pytest.raises(ResourceLimitError) as err:
+            enumerate_tuples(length, den, cap=cap)
+        exact = space.bit_length() <= 14_284
+        shown = err.value.space
+        assert shown == space if exact else cap < shown == 1 << cap.bit_length() <= space
+        assert str(err.value) == (f"raw search space {'' if exact else 'of at least '}{shown} "
+                                  f"exceeds the configured cap {cap}")
+
+    @pytest.mark.parametrize("size", [20_000, 600_000, 2_000_000])
+    def test_huge_space_is_refused_by_its_bound(self, size):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            enumerate_tuples(size, size)
+        assert time.perf_counter() - start < 1.0
+        assert (err.value.space, err.value.cap) == (1 << 23, 5_000_000)
 
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
