@@ -393,6 +393,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise ValidationError(f"{self.prog}: {message}")
 
+    def parse_args(self, args=None, namespace=None):
+        # argparse joins the leftover words whole into this message.
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            text = " ".join(extras)
+            self.error(f"unrecognized arguments: {text if len(text) <= 32 else quoted(text)}")
+        return args
+
     def _get_values(self, action, arg_strings):
         try:
             return super()._get_values(action, arg_strings)

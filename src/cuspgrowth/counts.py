@@ -5,8 +5,12 @@ Formula paths are closed-form products; brute-force paths count
 matrices over table-driven finite fields column by column, SL and SU
 carrying the exterior product (the minors) of the chosen columns and
 each unitary column walking the affine solution set of the constraints
-linear in it.  Both return a `GroupOrder` tagged with its method, and
-the two must agree whenever the brute-force search space fits under the cap.
+linear in it.  The last unitary column is counted in bulk: its shared
+constraints are solved once per prefix of m - 2 columns, a table marks
+the isotropic points of their solution plane, and each candidate
+c_(m-2) counts the marked points on its own line.  Both paths return
+a `GroupOrder` tagged with its method, and the two must agree whenever
+the brute-force search space fits under the cap.
 
 The hermitian form for the unitary families is fixed as the antidiagonal
 (split) form, so that the strictly upper-triangular unitary matrices
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, product, repeat
 from math import gcd
+from operator import getitem
 from typing import Optional, Sequence
 
 from .errors import PRINTABLE_BITS, ResourceLimitError, ValidationError, reported
@@ -33,7 +38,7 @@ from .primes import DEFAULT_PRIME_CAP, factorize, is_prime, prime_power_base, pr
 
 #: Refuse brute-force searches whose raw matrix space exceeds this.  The
 #: slowest configurations it admits are SL(5, 2) at about 0.7 s,
-#: SL(4, 3) 0.3 s, SL(2, 128) 0.15 s, SL(3, 8) 0.1 s and U(2, 11) 0.07 s
+#: SL(4, 3) 0.3 s, SL(2, 128) 0.15 s, SL(3, 8) 0.1 s and U(2, 11) 0.013 s
 #: per in-process call (2-vCPU VM, Python 3.11).
 DEFAULT_BRUTE_CAP = 1 << 28
 
@@ -229,27 +234,29 @@ def _wedge(f: PrimePowerField, step: list[list[tuple[int, int, bool]]],
     return out
 
 
-def _affine_coords(f: PrimePowerField, m: int,
-                   equations: Sequence[tuple[Sequence[int], int]]) -> list[list[int]]:
-    """The solutions v in F^m of a . v = b for each (a, b) in `equations`,
-    as m coordinate lists (the i-th lists v_i of every solution), or []
-    when they are inconsistent.
+def _affine_basis(f: PrimePowerField, m: int, equations: Sequence[tuple[Sequence[int], int]]
+                  ) -> Optional[tuple[list[int], list[list[int]]]]:
+    """The solutions v in F^m of a . v = b for each (a, b) in `equations`
+    as a particular solution and a kernel basis, or None when they are
+    inconsistent.
 
     Gauss-Jordan elimination over the field's tables brings the system to
-    reduced row-echelon form.  The solutions are then the particular one
-    plus every combination of the kernel basis: each free coordinate, a
-    basis vector's coefficient, runs over the field, and the pivot
-    coordinate of row (a, b) is b - sum_k a_k x_k over the free k.
+    reduced row-echelon form (a, b).  The particular solution is b at the
+    pivot coordinate of each row and 0 at every free coordinate; free
+    coordinate k gives the basis vector that is 1 at k, 0 at the other
+    free coordinates and -a_k at the pivot coordinate of each row.
     """
-    add, mul, neg = f.add, f.mul, f.neg
-    rows = [list(a) + [b] for a, b in equations]
+    add, mul, neg, inv = f.add, f.mul, f.neg, f.inv
+    rows = [[*a, b] for a, b in equations]
     pivots: list[int] = []
     for col in range(m):
         r = len(pivots)
-        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if i is None:
+        for i in range(r, len(rows)):
+            if rows[i][col]:
+                break
+        else:
             continue
-        scale = mul[mul[rows[i][col]].index(1)]
+        scale = mul[inv[rows[i][col]]]
         rows[i], rows[r] = rows[r], [scale[x] for x in rows[i]]
         for k, row in enumerate(rows):
             if k != r and row[col]:
@@ -257,18 +264,45 @@ def _affine_coords(f: PrimePowerField, m: int,
                 rows[k] = [add[x][times[y]] for x, y in zip(row, rows[r])]
         pivots.append(col)
     if any(row[m] for row in rows[len(pivots):]):
-        return []
-    free = [c for c in range(m) if c not in pivots]
-    n, size = len(free), f.size
-    # The free coordinates count through F^n, the first one as the top digit.
-    coords = {c: sorted(list(range(size)) * size ** (n - 1 - k)) * size ** k
-              for k, c in enumerate(free)}
+        return None
+    point = [0] * m
     for row, col in zip(rows, pivots):
-        values = [row[m]]
-        for k in free:  # mul[c] lists c * t for every t
-            values = [add[x][y] for x in values for y in mul[neg[row[k]]]]
-        coords[col] = values
-    return [coords[j] for j in range(m)]
+        point[col] = row[m]
+    basis = []
+    for k in [c for c in range(m) if c not in pivots]:
+        v = [0] * m
+        v[k] = 1
+        for row, col in zip(rows, pivots):
+            v[col] = neg[row[k]]
+        basis.append(v)
+    return point, basis
+
+
+@lru_cache(maxsize=None)
+def _digits(size: int, n: int) -> list[list[int]]:
+    """The n coordinate lists of F^n for a field of `size` elements, which
+    counts through F^n with the first coordinate as the top digit."""
+    return [sorted(list(range(size)) * size ** (n - 1 - k)) * size ** k for k in range(n)]
+
+
+def _span(f: PrimePowerField, point: Sequence[int],
+          basis: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The points `point` + sum_k s_k basis[k] over every s in F^n, n =
+    len(basis), as coordinate lists (the i-th lists coordinate i of every
+    point), s counting as in `_digits`.  A coordinate that is s_k itself
+    is the shared list of `_digits`."""
+    add, mul, n = f.add, f.mul, len(basis)
+    coords = []
+    for j, start in enumerate(point):
+        column = [v[j] for v in basis]
+        if not start and column.count(0) == n - 1 and 1 in column:
+            coords.append(_digits(f.size, n)[column.index(1)])
+            continue
+        values = [start]
+        for c in column:  # mul[c] lists c * s for every s
+            values = [add[x][y] for x in values for y in mul[c]]
+        coords.append(values)
+    return coords
 
 
 def _count_sl(f: PrimePowerField, m: int) -> int:
@@ -303,48 +337,120 @@ def _count_unitary(f: PrimePowerField, m: int, q: int, det_one: bool,
     is linear in v: <c_i, v> = J_it for the chosen c_i, i < t; the pins
     v_t = 1 and v_j = 0 for j > t for UNITRIANGULAR_U; and, for SU at
     t = m - 1, the cofactor row dotted with v equal to 1 (det = 1), read
-    off the exterior product of the chosen columns.  So column t walks
-    the affine solution set of those equations, and only the quadratic
-    <v, v> = J_tt is tested, over the coordinate lists: the coordinates
-    j and m-1-j contribute Tr(conj(v_(m-1-j)) v_j), with Tr(x) = x +
-    conj(x), and a middle one its norm conj(v_j) v_j.
+    off the exterior product of the chosen columns.  So column t < m - 1
+    walks the affine solution set of those equations, and only the
+    quadratic <v, v> = J_tt is tested, over the coordinate lists: the
+    coordinates j and m-1-j contribute Tr(conj(v_(m-1-j)) v_j), with
+    Tr(x) = x + conj(x), and a middle one its norm conj(v_j) v_j.
+
+    The last column w is counted for every candidate c_(m-2) at once.
+    Its equations from c_0 .. c_(m-3) are shared, so they are solved
+    once, to a plane p + s0 k0 + s1 k1 or to nothing, and a table marks
+    the q^4 points s of F^2 whose w is isotropic.  Each candidate adds
+    one equation in s, <c_(m-2), w> = J_(m-2)(m-1), whose coefficients
+    are computed in bulk, as `_wedge` extends many columns at once, and
+    the marked points on its line are counted.  SU's cofactor row is, in
+    s, a multiple of that equation, so det w = 1 holds on the whole line
+    or nowhere on it.  UNITRIANGULAR_U's pin w_(m-1) = 1 is left out: it
+    is <c_0, w> = 1 for the pinned c_0 = e_0, which is c_0's shared row
+    at m >= 3 and the candidate's own row at m = 2.  So the shared system
+    is a plane or has no solution: a relation among the rows of c_0 ..
+    c_(m-3) that involves c_0 contradicts the shared right-hand side; one
+    whose lowest column is c_1 contradicts the candidates' own equations,
+    so that no candidate gets here; and one whose lowest column is c_j,
+    j >= 2, cannot hold, as <c_j, c_(m-1-j)> = 1 pairs c_j with a column
+    of the prefix that is orthogonal to the others in the relation.
     """
-    add, mul, neg = f.add, f.mul, f.neg
-    conj = [f.pow(a, q) for a in range(f.size)]
-    trace = [[add[x][conj[x]] for x in (mul[conj[a]][b] for b in range(f.size))]
-             for a in range(f.size)]
+    add, mul, neg, inv, size = f.add, f.mul, f.neg, f.inv, f.size
+    conj = [f.pow(a, q) for a in range(size)]
+    trace = [[add[x][conj[x]] for x in mul[conj[a]]] for a in range(size)]
     plan = _laplace_plan(m)
     chosen: list[tuple[int, ...]] = []
 
-    def count(t: int, minors: Optional[Sequence[int]]) -> int:
+    def linear(t: int) -> list[tuple[list[int], int]]:
         # <u, v> = sum_k conj(u_k) v_(m-1-k) = sum_j conj(u_(m-1-j)) v_j
         equations = [([conj[u[m - 1 - j]] for j in range(m)], int(i + t == m - 1))
                      for i, u in enumerate(chosen)]
-        if unitriangular:
+        if unitriangular and t < m - 1:
             equations += [([int(i == j) for i in range(m)], int(j == t)) for j in range(t, m)]
-        if det_one and t == m - 1:
-            equations.append(([neg[minors[s]] if negative else minors[s]
-                               for _, s, negative in plan[t][0]], 1))
-        coords = _affine_coords(f, m, equations)
-        if not coords:
-            return 0
-        norms = [trace[a][b] for a, b in zip(coords[m - 1], coords[0])]
+        return equations
+
+    def norms(coords: list[list[int]]) -> list[int]:
+        values = [trace[a][b] for a, b in zip(coords[m - 1], coords[0])]
         for j in range(1, m // 2):
-            norms = [add[x][trace[a][b]]
-                     for x, a, b in zip(norms, coords[m - 1 - j], coords[j])]
+            values = [add[x][trace[a][b]]
+                      for x, a, b in zip(values, coords[m - 1 - j], coords[j])]
         if m % 2:
-            norms = [add[x][mul[conj[a]][a]] for x, a in zip(norms, coords[m // 2])]
+            values = [add[x][mul[conj[a]][a]] for x, a in zip(values, coords[m // 2])]
+        return values
+
+    def count(t: int, minors: Optional[Sequence[int]]) -> int:
+        solved = _affine_basis(f, m, linear(t))
+        if solved is None:
+            return 0
+        coords = _span(f, *solved)
         target = int(2 * t == m - 1)
-        if t == m - 1:
-            return norms.count(target)
-        keep = [x == target for x in norms]
+        keep = [x == target for x in norms(coords)]
         coords = [list(compress(c, keep)) for c in coords]
-        products = zip(*_wedge(f, plan[t], minors, coords)) if det_one else repeat(None)
+        products = _wedge(f, plan[t], minors, coords) if det_one else None
+        if t == m - 2:
+            shared = _affine_basis(f, m, linear(m - 1))
+            return 0 if shared is None else last(coords, products, *shared)
         found = 0
-        for v, p in zip(zip(*coords), products):
+        for v, p in zip(zip(*coords), zip(*products) if det_one else repeat(None)):
             chosen.append(v)
             found += count(t + 1, p)
             chosen.pop()
+        return found
+
+    def last(coords: list[list[int]], products: Optional[list[list[int]]],
+             point: list[int], basis: list[list[int]]) -> int:
+        grid = _span(f, point, basis)
+        hit = [x == 0 for x in norms(grid)]  # <w, w> = J_(m-1)(m-1) = 0
+        rows = [hit[i:i + size] for i in range(0, len(hit), size)]  # rows[s0][s1]
+        sums = list(map(sum, rows))
+        total = sum(sums)
+
+        def line(a0: int, a1: int, b: int) -> int:
+            """The marked points s with a0 s0 + a1 s1 = b."""
+            if a1:  # s1 = b / a1 - (a0 / a1) s0; mul[x] lists x * s0 for every s0
+                x = inv[a1]
+                return sum(map(getitem, rows,
+                               map(add[mul[b][x]].__getitem__, mul[neg[mul[a0][x]]])))
+            if a0:
+                return sums[mul[b][inv[a0]]]
+            return 0 if b else total
+
+        # Each candidate's equations in s: a . (p + s0 k0 + s1 k1) = b gives
+        # (a . k0) s0 + (a . k1) s1 = b - a . p, for a and b of every
+        # candidate, through `_wedge` steps whose minors are p, k0, k1.
+        vectors = point + basis[0] + basis[1]
+        # a_j = conj(v_(m-1-j)), so a . x = sum_i conj(v_i) x_(m-1-i).
+        dot, alpha0, alpha1 = _wedge(
+            f, [[(i, r * m + m - 1 - i, False) for i in range(m)] for r in range(3)],
+            vectors, [[conj[x] for x in c] for c in coords])
+        rhs = add[int(m == 2)]  # J_(m-2)(m-1)
+        beta = [rhs[neg[x]] for x in dot]
+        if not det_one:
+            return sum(map(line, alpha0, alpha1, beta))
+        # SU: the cofactor row of w, read off the product of c_0 .. c_(m-2),
+        # gives g0 s0 + g1 s1 = h.  c_0 is orthogonal to c_0 ..
+        # c_(m-2), so it spans the common kernel of their hermitian rows and
+        # lies in the cofactor row's kernel.  The cofactor row is therefore a
+        # combination of the hermitian rows (0 for a dependent prefix):
+        # (g0, g1) is a multiple of (a0, a1), and det w is the same on the
+        # whole line.  It is tested at the line's point with s0 = 0 (s1 = 0
+        # when a1 = 0).  A zero (a0, a1), from the zero c_0 at m = 2, comes
+        # with b = 1 and has no point.
+        dot, gamma0, gamma1 = _wedge(
+            f, [[(k, r * m + j, negative) for j, k, negative in plan[m - 1][0]]
+                for r in range(3)], vectors, products)
+        found = 0
+        for a0, a1, b, g0, g1, h in zip(alpha0, alpha1, beta, gamma0, gamma1,
+                                        (add[1][neg[x]] for x in dot)):
+            a, g = (a1, g1) if a1 else (a0, g0)
+            if mul[h][a] == mul[g][b]:
+                found += line(a0, a1, b)
         return found
 
     return count(0, (1,))

@@ -7,8 +7,8 @@ Each table entry comes from entries with fewer digits, and a b from
 irreducible, so the modulus is the least monic f of degree n, its lower
 coefficients read as a code, whose multiplication table gives every
 nonzero row a 1.  The tables are the field's arithmetic: callers index
-`add[a][b]`, `neg[a]` and `mul[a][b]` directly, and `pow` builds on
-`mul`.  Only meant for tiny fields; the tables are built up front.
+`add[a][b]`, `neg[a]`, `mul[a][b]` and `inv[a]` directly, and `pow`
+builds on `mul`.  Only meant for tiny fields; the tables are built up front.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ _MAX_TABLE_ELEMENTS = 1 << 10  # add and mul tables are quadratic in field size
 
 
 class PrimePowerField:
-    """GF(p^n) as its tables: `add[a][b]` = a + b, `neg[a]` = -a and
-    `mul[a][b]` = a b."""
+    """GF(p^n) as its tables: `add[a][b]` = a + b, `neg[a]` = -a,
+    `mul[a][b]` = a b and `inv[a]` = 1 / a (`inv[0]` is 0)."""
 
     def __init__(self, p: int, n: int):
         if n < 1:
@@ -66,6 +66,7 @@ class PrimePowerField:
                     break  # a has no inverse: f is reducible
                 self.mul.append(row)
             else:
+                self.inv = [row.index(1) if a else 0 for a, row in enumerate(self.mul)]
                 self.modulus_coeffs = tuple(code // p**i % p for i in range(n))
                 return
 

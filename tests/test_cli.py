@@ -820,6 +820,20 @@ class TestParseErrors:
         assert out == ""
         assert validation_message(code, err) == f"cannot parse divisors from {quoted}"
 
+    @pytest.mark.parametrize("extras, shown", [
+        (["x" * 32], "x" * 32),
+        (["x" * 16, "y" * 15], f"{'x' * 16} {'y' * 15}"),
+        (["x" * 16, "y" * 16], f"{'x' * 16 + ' ' + 'y' * 15!r}... (33 characters)"),
+        (["u"] * 100_000, f"{'u ' * 16!r}... (199999 characters)"),
+    ], ids=["32", "two-words-32", "two-words-33", "100000-words"])
+    def test_unrecognized_arguments_are_quoted_past_32_characters(self, capsys, extras, shown):
+        """The joined extra words are written as they are up to 32
+        characters and quoted by prefix and length past that."""
+        code, out, err = run_cli(capsys, "dm", "check", "--tuple", "1/2,1/2,1/2,1/2", *extras)
+        assert out == ""
+        assert validation_message(code, err) == f"cuspgrowth: unrecognized arguments: {shown}"
+        assert len(err.encode()) < 300
+
     def test_parser_is_built_once_and_not_on_import(self):
         code = (
             "import cuspgrowth, cuspgrowth.cli as cli\n"
@@ -888,7 +902,8 @@ COMMAND_FLAGS = {
 #: A level of deck group (Z/2)^400, whose analysis the bits cap admits.
 RANK400_SPEC = str(Path(__file__).parent / "golden" / "rank400_spec.json")
 #: Values for each flag, valid ones kept small so that an accepted run
-#: stays cheap (a brute-force U_3(F_2), about 8 ms, is the slowest), and
+#: stays cheap (brute-force SU_3(F_2) and U_3(F_2), about 2 ms each through
+#: `main` with --method both, are the slowest), and
 #: some at the scale of a refusal: m = 100, a 1,100-digit q, depth 10^7
 #: and the rank-400 spec.
 VALUES = {

@@ -33,7 +33,13 @@ from cuspgrowth import (
 )
 from cuspgrowth import counts
 from cuspgrowth.cli import main
-from cuspgrowth.counts import _affine_coords, _laplace_plan, _wedge, order_formula
+from cuspgrowth.counts import (
+    _affine_basis,
+    _laplace_plan,
+    _span,
+    _wedge,
+    order_formula,
+)
 from cuspgrowth.gf import PrimePowerField, field
 from cuspgrowth.primes import (
     _SPRP_BOUNDS,
@@ -456,7 +462,8 @@ class TestKernelsAgainstOracles:
     def test_add_and_neg_tables_match_digit_arithmetic(self, p, n):
         """The addition, negation and multiplication tables against digit
         arithmetic and products of coefficient lists reduced by long
-        division, and the modulus against trial division."""
+        division, the inverses against the products, and the modulus
+        against trial division."""
         f = PrimePowerField(p, n)
         assert f.modulus_coeffs == oracles.least_irreducible(p, n)
         for a in range(f.size):
@@ -465,6 +472,9 @@ class TestKernelsAgainstOracles:
             assert f.mul[a] == [oracles.field_mul(f, a, b, f.modulus_coeffs)
                                 for b in range(f.size)]
         assert all(f.add[a][f.neg[1]] == oracles.digit_sub(f, a, 1) for a in range(f.size))
+        assert f.inv[0] == 0
+        assert all(oracles.field_mul(f, a, f.inv[a], f.modulus_coeffs) == 1
+                   for a in range(1, f.size))
 
     @pytest.mark.parametrize("family,m,q", BENCH_ORDERS)
     def test_benchmark_configurations(self, family, m, q):
@@ -529,18 +539,22 @@ class TestKernelsAgainstOracles:
     def test_one_equation_has_a_hyperplane_of_solutions(self, p_n, m, data):
         f = field(*p_n)
         c = data.draw(st.lists(st.integers(0, f.size - 1), min_size=m, max_size=m))
-        expected = f.size ** (m - 1) if any(c) else 0
-        assert len(list(zip(*_affine_coords(f, m, [(c, 1)])))) == expected
+        solved = _affine_basis(f, m, [(c, 1)])
+        assert (solved is not None) == any(c)
+        if solved:
+            assert len(list(zip(*_span(f, *solved)))) == f.size ** (m - 1)
 
     @settings(max_examples=200, deadline=None)
     @given(affine_systems())
     @example((field(5, 1), 2, [((1, 2), 3), ((1, 2), 4)]))  # repeated row, new b
     @example((field(2, 1), 1, [((0,), 1)]))  # 0 = 1
     @example((field(3, 2), 3, []))  # no equations: all of F^3
+    @example((field(3, 2), 3, [((0, 0, 0), 0)]))  # a zero row: all of F^3
     def test_affine_solutions_match_a_filter_of_the_whole_space(self, system):
+        """A particular solution and a kernel basis: the point solves every
+        equation, each basis vector every homogeneous one, and their span
+        lists each solution the filter of the whole space finds once."""
         f, m, equations = system
-        solutions = list(zip(*_affine_coords(f, m, equations)))
-        assert len(set(solutions)) == len(solutions)
 
         def dot(a, v):
             total = 0
@@ -548,22 +562,44 @@ class TestKernelsAgainstOracles:
                 total = oracles.digit_add(f, total, f.mul[x][y])
             return total
 
-        assert set(solutions) == {
-            v for v in itertools.product(range(f.size), repeat=m)
-            if all(dot(a, v) == b for a, b in equations)
-        }
+        expected = {v for v in itertools.product(range(f.size), repeat=m)
+                    if all(dot(a, v) == b for a, b in equations)}
+        solved = _affine_basis(f, m, equations)
+        if solved is None:
+            assert not expected
+            return
+        point, basis = solved
+        assert all(dot(a, point) == b for a, b in equations)
+        assert all(dot(a, v) == 0 for a, _ in equations for v in basis)
+        solutions = list(zip(*_span(f, point, basis)))
+        assert len(solutions) == len(set(solutions)) == f.size ** len(basis)
+        assert set(solutions) == expected
+
+    @pytest.mark.parametrize("family", ["U", "SU", "UNITRIANGULAR_U"])
+    @pytest.mark.parametrize("m,q", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (3, 2)])
+    def test_unitary_orders_match_the_plain_search(self, family, m, q):
+        """Every field with q^2 <= 64 at m = 2, and m = 3 at q = 2: the
+        bulk last column walks each candidate's line (U), tests SU's det
+        on it, counts 0 for an inconsistent shared system (the zero c_0 at
+        m = 3), and for UNITRIANGULAR_U at m = 2 finds the pin w_1 = 1 in
+        the candidate's own row."""
+        assert brute_force_order(family, m, q).order == oracles.group_order(family, m, q)
 
     @pytest.mark.parametrize("family,m,q", [
         (GroupFamily.U, 2, 7), (GroupFamily.SU, 2, 7),
         (GroupFamily.U, 2, 8), (GroupFamily.SU, 2, 8),
         (GroupFamily.U, 2, 9), (GroupFamily.SU, 2, 9),
+        (GroupFamily.U, 2, 11), (GroupFamily.SU, 2, 11),
+        (GroupFamily.U, 2, 13), (GroupFamily.SU, 2, 13),
+        (GroupFamily.U, 4, 2), (GroupFamily.SU, 4, 2),
         (GroupFamily.UNITRIANGULAR_U, 3, 3), (GroupFamily.U, 3, 3), (GroupFamily.SU, 3, 3),
         (GroupFamily.UNITRIANGULAR_U, 4, 2), (GroupFamily.UNITRIANGULAR_U, 4, 3),
         (GroupFamily.UNITRIANGULAR_U, 5, 2),
     ])
     def test_heavy_unitary_cases_match_the_closed_forms(self, family, m, q):
-        # The (3, 3) spaces, 9^9, lie past the default cap, and so do the
-        # unitriangular m = 4 and 5, whose norms pair more than one
+        # The (3, 3) spaces, 9^9, lie past the default cap, and so do
+        # (2, 13), the m = 4 ones, whose last column shares two equations,
+        # and the unitriangular m = 4 and 5, whose norms pair more than one
         # coordinate with its mirror.
         brute = brute_force_order(family, m, q, cap=(q * q) ** (m * m))
         assert brute.order == order_formula(family, m, q).order
