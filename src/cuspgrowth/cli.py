@@ -12,8 +12,11 @@ Subcommands:
 
 Exit codes: 0 success, 2 validation error, 3 resource refusal.  Errors,
 argument-parsing errors included, are emitted as one-line JSON records
-on stderr.  The parser is built once per process, on the first `main`
-call.
+on stderr.  The parser tree is built once per process, on the first
+`main` call.  `main` parses an argv whose first two words name a leaf
+(``dm check``, ``tower run``, ...) with that leaf's parser alone, and
+any other argv, or one the leaf rejects, with the whole tree, so every
+message, help text and exit code is the tree's own.
 """
 
 from __future__ import annotations
@@ -390,6 +393,9 @@ class _Parser(argparse.ArgumentParser):
     messages quote a value through `quoted`.  Subparsers are built from
     the same class."""
 
+    #: The tree's leaf parsers by (command, subcommand), set on the root.
+    leaves: dict[tuple[str, str], _Parser]
+
     def error(self, message: str):
         raise ValidationError(f"{self.prog}: {message}")
 
@@ -412,9 +418,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
     """The whole argument tree; built on the first call and then shared,
-    which is safe as parsing keeps no state in the parser."""
+    which is safe as parsing keeps no state in the parser.  Its `leaves`
+    map each (command, subcommand) to the leaf parser the tree holds for
+    it, the object `add_parser` returned, so `_parse` can parse with the
+    leaf alone."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "table"], default="table",
                         help="output format (default: table)")
@@ -433,34 +442,42 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic for weight-tuple integrality, covering-tower "
                     "cusp counts, classical group orders, and growth exponents.",
     )
+    parser.leaves = {}
     top = parser.add_subparsers(dest="command", required=True)
 
-    dm = top.add_parser("dm", help="weight-tuple integrality and contractions")
-    dm_sub = dm.add_subparsers(dest="subcommand", required=True)
-    p = dm_sub.add_parser("check", parents=[common],
-                          help="classify a tuple as INT / HALF_INT / FAIL")
-    p.set_defaults(handler=_dm_check)
+    def family(command: str, help: str) -> Callable[..., _Parser]:
+        """Add a command and return a function that adds its leaves, each
+        with the common options and its handler, recorded in `leaves`."""
+        sub = top.add_parser(command, help=help).add_subparsers(dest="subcommand",
+                                                                 required=True)
+
+        def leaf(subcommand: str, handler: Callable[[argparse.Namespace], Rendered],
+                 help: str) -> _Parser:
+            p = sub.add_parser(subcommand, parents=[common], help=help)
+            p.set_defaults(handler=handler)
+            parser.leaves[command, subcommand] = p
+            return p
+
+        return leaf
+
+    leaf = family("dm", "weight-tuple integrality and contractions")
+    p = leaf("check", _dm_check, "classify a tuple as INT / HALF_INT / FAIL")
     p.add_argument("--tuple", required=True, help="comma-separated rationals, e.g. 2/6,2/6,3/6,4/6,1/6")
-    p = dm_sub.add_parser("contract", parents=[common], help="contract along a partition")
-    p.set_defaults(handler=_dm_contract)
+    p = leaf("contract", _dm_contract, "contract along a partition")
     p.add_argument("--tuple", required=True)
     p.add_argument("--blocks", required=True,
                    help="partition blocks as 0-based indices, e.g. '0,1|2|3|4'")
-    p = dm_sub.add_parser("find-contraction", parents=[common],
-                          help="search for a partition contracting one tuple onto another")
-    p.set_defaults(handler=_dm_find_contraction)
+    p = leaf("find-contraction", _dm_find_contraction,
+             "search for a partition contracting one tuple onto another")
     p.add_argument("--tuple", required=True)
     p.add_argument("--target", required=True)
-    p = dm_sub.add_parser("enumerate", parents=[common],
-                          help="enumerate all INT / HALF_INT tuples with bounded denominator")
-    p.set_defaults(handler=_dm_enumerate)
+    p = leaf("enumerate", _dm_enumerate,
+             "enumerate all INT / HALF_INT tuples with bounded denominator")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--max-denominator", type=int, required=True)
 
-    tower = top.add_parser("tower", help="covering-tower reports")
-    tower_sub = tower.add_subparsers(dest="subcommand", required=True)
-    p = tower_sub.add_parser("run", parents=[common], help="analyze a built-in family")
-    p.set_defaults(handler=_tower_run)
+    leaf = family("tower", "covering-tower reports")
+    p = leaf("run", _tower_run, "analyze a built-in family")
     p.add_argument("--family", required=True, help="A, B, or C")
     p.add_argument("--prime", type=int, help="prime p for families A and B")
     p.add_argument("--depth", type=int, required=True, help="number of levels")
@@ -468,33 +485,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--divisors", help="family C cusp divisors, e.g. '0,2'")
     p.add_argument("--emit-spec", default=None,
                    help="also write the generated tower spec JSON to this path")
-    p = tower_sub.add_parser("analyze", parents=[common],
-                             help="analyze a tower spec from JSON ('-' reads stdin)")
-    p.set_defaults(handler=_tower_analyze)
+    p = leaf("analyze", _tower_analyze, "analyze a tower spec from JSON ('-' reads stdin)")
     p.add_argument("--spec", required=True)
 
-    cong = top.add_parser("congruence", help="group orders and growth exponents")
-    cong_sub = cong.add_subparsers(dest="subcommand", required=True)
-    p = cong_sub.add_parser("orders", parents=[common], help="one classical group order")
-    p.set_defaults(handler=_congruence_orders)
+    leaf = family("congruence", "group orders and growth exponents")
+    p = leaf("orders", _congruence_orders, "one classical group order")
     p.add_argument("--family", required=True,
                    help="SL2_ZN, SL, U, SU, or UNITRIANGULAR_U")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--q", type=int, required=True,
                    help="prime power (the modulus N for SL2_ZN)")
     p.add_argument("--method", choices=["formula", "brute", "both"], default="formula")
-    p = cong_sub.add_parser("exponents", parents=[common],
-                            help="fit growth exponents over a prime range")
-    p.set_defaults(handler=_congruence_exponents)
+    p = leaf("exponents", _congruence_exponents, "fit growth exponents over a prime range")
     p.add_argument("--n", type=int, required=True, help="2 or 3")
     p.add_argument("--genus", type=int, default=2)
     p.add_argument("--prime-min", type=int, required=True)
     p.add_argument("--prime-max", type=int, required=True)
     p.add_argument("--tolerance", type=float, default=None,
                    help="override the per-check match tolerance")
-    p = cong_sub.add_parser("dtower", parents=[common],
-                            help="emit the per-prime (q, vol, b1, cusps) series")
-    p.set_defaults(handler=_congruence_dtower)
+    p = leaf("dtower", _congruence_dtower, "emit the per-prime (q, vol, b1, cusps) series")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--genus", type=int, default=2)
     p.add_argument("--prime-min", type=int, required=True)
@@ -503,11 +512,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace the whole tree parses from `argv`.
+
+    A leaf parses the words after its (command, subcommand) to the same
+    namespace as the tree, for about a quarter of the tree's cost (the
+    tree walks three parsers), so an argv that starts with a leaf's two
+    words is parsed by that leaf.  An argv that starts otherwise (``-h``,
+    a bare command, an unknown word), or that the leaf rejects, is parsed
+    by the tree, so that the tree words the error: an unrecognized
+    argument is reported under the prog ``cuspgrowth``, not the leaf's.
+    """
+    parser = _build_parser()
+    leaf = parser.leaves.get(tuple(argv[:2]))
+    if leaf is not None:
+        try:
+            ns = leaf.parse_args(argv[2:])
+        except ValidationError:
+            pass
+        else:
+            ns.command, ns.subcommand = argv[0], argv[1]
+            return ns
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse `argv`, run its handler and emit the output; returns the
-    process exit code."""
+    """Parse `argv` (default ``sys.argv[1:]``) through `_parse`, run its
+    handler and emit the output; returns the process exit code."""
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _parse(sys.argv[1:] if argv is None else argv)
         if ns.cap is not None and ns.cap < 1:
             raise ValidationError("resource caps must be positive")
         _emit(ns, ns.handler(ns))

@@ -16,12 +16,13 @@ from math import isqrt, log2
 from .errors import ResourceLimitError, ValidationError
 
 #: Refuse prime ranges reaching past this: the sieve holds one byte per
-#: integer of its range.  `d_tower_columns` and `exponent_checks` sieve
-#: their range once under it, and then take about 1.5 microseconds per
-#: prime: a whole `congruence exponents` process over the primes 5..10^6
-#: takes about 0.5 s, and to 10^7 2-3 s at a peak RSS near 390 MiB
-#: (2-vCPU VM, Python 3.11).  A list given to `d_tower_series` is checked
-#: by `is_prime` and has no cap.
+#: odd integer of its range.  `d_tower_columns` and `exponent_checks`
+#: sieve their range once under it, and then take about 1.5 microseconds
+#: per prime: a whole `congruence exponents` process over the primes
+#: 5..10^6 takes about 0.5 s, and to 10^7 about 1.5 s at a peak RSS near
+#: 355 MiB, nearly all of it the per-prime series (2-vCPU VM, Python
+#: 3.11).  A list given to `d_tower_series` is checked by `is_prime` and
+#: has no cap.
 DEFAULT_PRIME_CAP = 10**6
 
 #: Trial division gives up past this divisor.  `factorize` refuses a
@@ -155,19 +156,26 @@ def primes_in_range(lo: int, hi: int, cap: int = DEFAULT_PRIME_CAP) -> list[int]
 
 def _sieve(lo: int, hi: int) -> list[int]:
     lo = max(lo, 2)
-    return list(compress(range(lo, hi + 1), _prime_flags(lo, hi)))
+    odd = list(compress(range(lo | 1, hi + 1, 2), _prime_flags(lo, hi)))
+    return [2] + odd if lo == 2 <= hi else odd
 
 
 def _prime_flags(lo: int, hi: int) -> bytearray:
-    """One byte per integer of [lo, hi], lo >= 2: 1 at each prime, else 0."""
-    if hi < lo:
+    """One byte per odd integer of [lo, hi], lo >= 2, from the least
+    (lo | 1) up: 1 at each prime, else 0.  Each odd prime d <= sqrt(hi)
+    clears its odd multiples from max(d^2, lo) on, every d-th byte."""
+    first = lo | 1
+    if hi < first:
         return bytearray()
     root = isqrt(hi)
     small = bytearray([1]) * (root + 1)
-    segment = bytearray([1]) * (hi - lo + 1)
-    for d in range(2, root + 1):
+    segment = bytearray([1]) * ((hi - first) // 2 + 1)
+    for d in range(3, root + 1, 2):
         if small[d]:
-            small[d * d::d] = bytes(len(range(d * d, root + 1, d)))
+            small[d * d::2 * d] = bytes(len(range(d * d, root + 1, 2 * d)))
             start = max(d * d, -(-lo // d) * d)
-            segment[start - lo::d] = bytes(len(range(start, hi + 1, d)))
+            if start % 2 == 0:  # the next multiple is odd
+                start += d
+            i = (start - first) // 2
+            segment[i::d] = bytes(len(range(i, len(segment), d)))
     return segment

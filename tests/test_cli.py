@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cuspgrowth import HIRZEBRUCH, ValidationError, c_tower_report, counts, sl_order
+from cuspgrowth import HIRZEBRUCH, ValidationError, c_tower_report, cli, counts, sl_order
 from cuspgrowth.cli import _any_int_digits, _render_csv, _render_table, main
 from cuspgrowth.serialize import dumps_canonical, tower_report_to_json, tower_spec_from_json
 from cuspgrowth.towers import TowerReport
@@ -1024,3 +1024,82 @@ class TestArgvContract:
         record = json.loads(lines[0])
         assert set(record) == {"error"}
         assert record["error"]["type"] == ("validation" if code == 2 else "resource")
+
+
+#: One valid argv per leaf parser, with the common options at times.
+LEAF_ARGVS = [
+    ["dm", "check", "--tuple", "2/6,2/6,3/6,4/6,1/6"],
+    ["dm", "contract", "--tuple", "2/6,2/6,3/6,4/6,1/6", "--blocks", "0,1|2|3|4",
+     "--format", "json"],
+    ["dm", "find-contraction", "--tuple", "2/6,2/6,3/6,3/6,1/6,1/6",
+     "--target", "1/6,3/6,4/6,4/6", "--cap", "1000"],
+    ["dm", "enumerate", "--length", "4", "--max-denominator", "6", "--format", "csv"],
+    ["tower", "run", "--family", "A", "--prime", "3", "--depth", "2"],
+    ["tower", "analyze", "--spec", SPEC, "--format", "json"],
+    ["congruence", "orders", "--family", "SU", "--m", "3", "--q", "2", "--method", "both"],
+    ["congruence", "exponents", "--n", "2", "--prime-min", "5", "--prime-max", "50"],
+    ["congruence", "dtower", "--n", "3", "--prime-min", "5", "--prime-max", "50",
+     "--format", "csv"],
+]
+#: Every head of `COMMAND_FLAGS` (whole, partial and unknown) followed by
+#: -h or --help.
+HELP_ARGVS = [[*head, flag] for head in COMMAND_FLAGS for flag in ("-h", "--help")]
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of `main(argv)`; a SystemExit (help)
+    is recorded by its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+    return code, out.getvalue(), err.getvalue()
+
+
+def tree_outcome(argv):
+    """`outcome` with every argv parsed by the whole tree, under `main`'s
+    own handler call, rendering and error handling."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+        return outcome(argv)
+
+
+class TestLeafParse:
+    """`main` parses an argv that starts with a leaf's two words with that
+    leaf alone; it must end exactly as a parse by the whole tree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argvs())
+    @example(["dm", "check", "--tuple", "1/2,1/2,1/2,1/2", "--bogus", "3"])
+    @example(["dm", "check", "--tuple", "1/2,1/2,1/2,1/2", "u" * 40])
+    @example(["dm", "check", "--", "--tuple", "1/2,1/2,1/2,1/2"])
+    @example(["dm", "check", "--tup", "1/2,1/2,1/2,1/2", "--form=json"])
+    def test_main_ends_as_the_tree_path(self, argv):
+        assert outcome(argv) == tree_outcome(argv), argv
+
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+    def test_help_is_the_trees(self, argv):
+        code, out, err = outcome(argv)
+        assert (code, out, err) == tree_outcome(argv)
+        if "bogus" in argv:  # the tree rejects the word before it reads -h
+            assert code == 2 and "invalid choice: 'bogus'" in err
+        else:
+            assert code == "SystemExit(0)" and out.startswith("usage: cuspgrowth") and err == ""
+
+    @pytest.mark.parametrize("argv", LEAF_ARGVS, ids=lambda argv: " ".join(argv[:2]))
+    def test_leaf_namespace_is_the_trees(self, argv):
+        assert vars(cli._parse(argv)) == vars(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", LEAF_ARGVS, ids=lambda argv: " ".join(argv[:2]))
+    def test_valid_argv_does_not_parse_through_the_tree(self, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the whole tree parsed a leaf's argv")
+
+        monkeypatch.setattr(cli._build_parser(), "parse_args", refuse)
+        assert outcome(argv)[0] == 0
+
+    def test_leaves_are_the_nine_subcommands(self):
+        assert sorted(cli._build_parser().leaves) == sorted(
+            head for head in COMMAND_FLAGS if len(head) == 2 and head[1] != "bogus")

@@ -44,6 +44,7 @@ from cuspgrowth.gf import PrimePowerField, field
 from cuspgrowth.primes import (
     _SPRP_BOUNDS,
     MAX_TRIAL_DIVISOR,
+    _sieve,
     factorize,
     is_prime,
     prime_power_base,
@@ -626,6 +627,26 @@ class TestKernelsAgainstOracles:
         assert primes_in_range(2, 2) == [2]
         assert primes_in_range(-5, 3) == [2, 3]
         assert primes_in_range(24, 29) == [29]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.integers(-20, 2), st.integers(-20, 1500)),  # lo <= 2
+        st.integers(-20, 3000).map(lambda n: (n, n)),  # lo = hi
+        st.tuples(st.integers(-20, 3000), st.integers(1, 40)).map(
+            lambda t: (t[0], t[0] - t[1])),  # hi < lo
+        st.tuples(st.integers(0, 1500), st.integers(0, 750), st.integers(0, 1),
+                  st.integers(0, 1)).map(  # endpoints of either parity
+            lambda t: (2 * t[0] + t[2], 2 * (t[0] + t[1]) + t[3])),
+    ))
+    @example((2, 2))
+    @example((3, 3))
+    @example((9, 9))
+    @example((2, 3))
+    @example((4, 8))
+    @example((25, 25))
+    def test_odd_only_sieve_matches_is_prime(self, bounds):
+        lo, hi = bounds
+        assert _sieve(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
 
 
 class TestPrimality:
