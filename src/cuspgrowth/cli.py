@@ -130,10 +130,11 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 # text view, which is either (headers, rows), rendered as a table or as
 # CSV, or a fixed text that has no CSV form.  A handler may instead hand
 # over zero-argument callables that write the JSON text or build the
-# (headers, rows), so that only the requested format is produced.
+# text view, so that only the requested format is produced.
 
 Table = tuple[list[str], list[list[Any]]]
-Rendered = tuple[Union[dict, Callable[[], str]], Union[str, Table, Callable[[], Table]]]
+Rendered = tuple[Union[dict, Callable[[], str]],
+                 Union[str, Table, Callable[[], Union[str, Table]]]]
 
 
 def _cap(ns: argparse.Namespace) -> dict[str, int]:
@@ -145,20 +146,26 @@ def _cap(ns: argparse.Namespace) -> dict[str, int]:
 def _dm_check(ns: argparse.Namespace) -> Rendered:
     mu = WeightTuple.parse(ns.tuple)
     status = weights.check_int(mu)
-    doc = {
-        "weights": mu.as_strings(),
-        "verdict": status.verdict.value,
-        "half_integral_witnesses": [{"i": w.i, "j": w.j, "value": str(w.value)}
-                                    for w in status.half_witnesses],
-        "fail_witnesses": [{"i": w.i, "j": w.j, "value": str(w.value)}
-                           for w in status.fail_witnesses],
-    }
-    lines = [f"weights: {', '.join(mu.as_strings())}", f"verdict: {status.verdict.value}"]
-    for w in status.half_witnesses:
-        lines.append(f"half-integral pair ({w.i},{w.j}): value {w.value}")
-    for w in status.fail_witnesses:
-        lines.append(f"failing pair ({w.i},{w.j}): value {w.value}")
-    return doc, "\n".join(lines) + "\n"
+    strings = mu.as_strings()
+
+    def doc() -> str:
+        return dumps_canonical({
+            "weights": strings,
+            "verdict": status.verdict.value,
+            "half_integral_witnesses": [{"i": w.i, "j": w.j, "value": str(w.value)}
+                                        for w in status.half_witnesses],
+            "fail_witnesses": [{"i": w.i, "j": w.j, "value": str(w.value)}
+                               for w in status.fail_witnesses],
+        })
+
+    def text() -> str:
+        lines = [f"weights: {', '.join(strings)}", f"verdict: {status.verdict.value}"]
+        lines += [f"half-integral pair ({w.i},{w.j}): value {w.value}"
+                  for w in status.half_witnesses]
+        lines += [f"failing pair ({w.i},{w.j}): value {w.value}" for w in status.fail_witnesses]
+        return "\n".join(lines) + "\n"
+
+    return doc, text
 
 
 def _dm_contract(ns: argparse.Namespace) -> Rendered:
@@ -198,17 +205,15 @@ def _dm_find_contraction(ns: argparse.Namespace) -> Rendered:
 
 
 def _dm_enumerate(ns: argparse.Namespace) -> Rendered:
-    found = weights.enumerate_tuples(ns.length, ns.max_denominator, **_cap(ns))
+    found = [(mu.as_strings(), status.verdict.value) for mu, status in
+             weights.enumerate_tuples(ns.length, ns.max_denominator, **_cap(ns))]
     doc = {
         "length": ns.length,
         "max_denominator": ns.max_denominator,
         "count": len(found),
-        "tuples": [
-            {"weights": mu.as_strings(), "verdict": status.verdict.value}
-            for mu, status in found
-        ],
+        "tuples": [{"weights": strings, "verdict": verdict} for strings, verdict in found],
     }
-    rows = [[" ".join(mu.as_strings()), status.verdict.value] for mu, status in found]
+    rows = [[" ".join(strings), verdict] for strings, verdict in found]
     return doc, (["weights", "verdict"], rows)
 
 

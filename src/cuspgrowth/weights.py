@@ -13,10 +13,11 @@ Fractions appear only at the API boundary: the three search kernels
 integer numerators over a common denominator d and work on those.  A
 pair then passes when gap = d - a_i - a_j is at most 0 or divides d,
 and is half-integral when a_i = a_j and gap divides 2d.  Validation
-runs on numerators too: a `WeightTuple` tests each weight as
-0 < numerator < denominator and the sum as sum(a_i) = 2d, and
-`enumerate_tuples` builds one Fraction per numerator per call and
-shares it among its hits.
+runs on numerators too: a `WeightTuple` reads each weight once as
+(numerator, denominator) and tests 0 < numerator < denominator and
+sum(a_i) = 2d.  `enumerate_tuples` tabulates per call, for each
+numerator a, the Fraction a/d its hits share, the mask of partners that
+fail with a, and the value of a half-integral pair (a, a).
 `find_contraction` returns the lexicographically least admissible
 partition and `enumerate_tuples` skips every prefix that already holds
 a failing pair; both refuse searches beyond a cap.  Every function is
@@ -76,19 +77,20 @@ class WeightTuple:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ws = tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights)
+        ws = tuple([w if type(w) is Fraction else Fraction(w) for w in self.weights])
         object.__setattr__(self, "weights", ws)
         if len(ws) < 4:
             raise ValidationError(
                 f"weight tuple must have length >= 4, got length {len(ws)}"
             )
-        for idx, w in enumerate(ws):
-            if not 0 < w.numerator < w.denominator:
+        ratios = [w.as_integer_ratio() for w in ws]
+        for idx, (p, q) in enumerate(ratios):
+            if not 0 < p < q:
                 raise ValidationError(
-                    f"weight {w} at index {idx} is not strictly between 0 and 1"
+                    f"weight {ws[idx]} at index {idx} is not strictly between 0 and 1"
                 )
-        d = lcm(*(w.denominator for w in ws))
-        if sum(_numerators(ws, d)) != 2 * d:
+        d = lcm(*[q for _, q in ratios])
+        if sum([p * (d // q) for p, q in ratios]) != 2 * d:
             raise ValidationError(f"weights must sum to exactly 2, got {sum(ws)}")
 
     @classmethod
@@ -184,6 +186,20 @@ def _int_status(nums: Sequence[int], d: int) -> IntStatus:
     else:
         verdict = IntVerdict.INT
     return IntStatus(verdict, tuple(half), tuple(fail))
+
+
+def _fail_masks(d: int) -> list[int]:
+    """fails[b]: bit a is set when `_pair_verdict(a, b, d)` is FAIL.
+
+    Bit s of `bad` is set when the gap d - s does not divide d, so bit a
+    of bad >> b tests the pair (a, b); only partners a < d - b have a
+    positive gap, and a half-integral equal pair a = b passes."""
+    bad = sum(1 << s for s in range(1, d) if d % (d - s))
+    fails = [0] + [(bad >> b) & ((1 << (d - b)) - 2) for b in range(1, d)]
+    for b in range(1, (d + 1) // 2):
+        if 2 * d % (d - 2 * b) == 0:
+            fails[b] &= ~(1 << b)
+    return fails
 
 
 def check_int(mu: WeightTuple) -> IntStatus:
@@ -376,7 +392,9 @@ def enumerate_tuples(
     numerator vectors, deduplicated up to reordering (only the sorted
     form is generated).  Refuses to run when the raw search space
     exceeds `cap`.  A prefix holding a failing pair is skipped with its
-    whole subtree, since the failure stays in every extension.
+    whole subtree, since the failure stays in every extension.  A hit's
+    status is `check_int` of its tuple: its only witnesses are its
+    half-integral equal pairs, and hits without one share an INT status.
     """
     if length < 4:
         raise ValidationError(f"length must be >= 4, got {length}")
@@ -399,15 +417,13 @@ def enumerate_tuples(
         )
 
     d = max_denominator
-    # fails[b]: bit a is set when the pair (a/d, b/d) fails.  A FAIL pair
-    # stays in every extension of a prefix, so a candidate whose bit is
-    # set in the prefix's mask is skipped together with its subtree.
-    # Only partners with gap = d - a - b > 0 can fail.
-    fails = [0] + [
-        sum(1 << a for a in range(1, d - b) if _pair_verdict(a, b, d) is IntVerdict.FAIL)
-        for b in range(1, d)
-    ]
+    # A candidate in the prefix's mask of failing partners is skipped with
+    # its subtree; half[a] is the value of a half-integral pair (a, a).
+    fails = _fail_masks(d)
+    half = [Fraction(d, d - 2 * a) if _pair_verdict(a, a, d) is IntVerdict.HALF_INT else None
+            for a in range(d)]
     fraction_of = [Fraction(a, d) for a in range(d)]
+    integral = IntStatus(IntVerdict.INT)
     results: list[tuple[WeightTuple, IntStatus]] = []
     numerators: list[int] = []
 
@@ -418,8 +434,11 @@ def enumerate_tuples(
         if slots == 1:
             if not forbidden >> remaining & 1:
                 nums = numerators + [remaining]
-                mu = WeightTuple(tuple(fraction_of[a] for a in nums))
-                results.append((mu, _int_status(nums, d)))
+                mu = WeightTuple(tuple([fraction_of[a] for a in nums]))
+                # Equal numerators are adjacent: pairs in `combinations` order.
+                pairs = tuple([PairWitness(i, j, half[a]) for i, a in enumerate(nums) if half[a]
+                               for j in range(i + 1, length) if nums[j] == a])
+                results.append((mu, IntStatus(IntVerdict.HALF_INT, pairs) if pairs else integral))
             return
         for a in range(start, d):
             if a * slots > remaining:

@@ -18,7 +18,7 @@ from cuspgrowth import (
     enumerate_tuples,
     find_contraction,
 )
-from cuspgrowth.weights import _RATIONAL, parse_fraction
+from cuspgrowth.weights import _RATIONAL, _fail_masks, _pair_verdict, parse_fraction
 from oracles import (
     admissible_contractions,
     int_condition_verdict,
@@ -234,9 +234,29 @@ class TestEnumerate:
         assert [mu.weights for mu, _ in found] == [(F(1, 2),) * 4]
 
     def test_everything_emitted_passes_check_int(self):
-        for mu, status in enumerate_tuples(6, 6):
-            assert check_int(mu).verdict is status.verdict
-            assert status.verdict is not IntVerdict.FAIL
+        # Every hit up to length 8 and denominator 30, the cap lifted to the
+        # raw space, carries `check_int`'s status field for field; runs of up
+        # to seven equal weights give up to 21 half-integral witnesses, which
+        # must come in `combinations` order.
+        most = 0
+        for length in range(4, 9):
+            for den in range(2, 31):
+                cap = comb(den + length - 2, length)
+                for mu, status in enumerate_tuples(length, den, cap=cap):
+                    expected = check_int(mu)
+                    assert status.verdict is expected.verdict is not IntVerdict.FAIL
+                    assert status.half_witnesses == expected.half_witnesses
+                    assert status.fail_witnesses == expected.fail_witnesses == ()
+                    most = max(most, len(status.half_witnesses))
+        assert most == 21
+
+    def test_fail_masks_match_pair_verdicts(self):
+        for d in range(2, 201):
+            expected = [0] + [
+                sum(1 << a for a in range(1, d) if _pair_verdict(a, b, d) is IntVerdict.FAIL)
+                for b in range(1, d)
+            ]
+            assert _fail_masks(d) == expected, d
 
     def test_sorted_and_deduplicated(self):
         seen = set()
@@ -246,7 +266,8 @@ class TestEnumerate:
             seen.add(mu.weights)
 
     @pytest.mark.parametrize("length, den", [(4, 2), (4, 8), (5, 6), (6, 6), (4, 12), (5, 12),
-                                             (5, 24), (4, 48)])
+                                             (5, 24), (4, 48), (4, 7), (5, 9), (6, 10),
+                                             (5, 18), (4, 30)])
     def test_matches_brute_recount(self, length, den):
         # Every sorted numerator vector summing to 2 * den, classified by
         # the double-loop oracle; (5, 6) and (6, 6) hold HALF_INT tuples.
