@@ -24,8 +24,8 @@ _EXPORTS = {
                "image_index is_surjective kernel_contains smith_normal_form",
     "primes": "primes_in_range",
     "towers": "HIRZEBRUCH BaseSpace CTowerLevel CuspData FibrationData LevelReport TowerReport "
-              "TowerSpec analyze_level analyze_tower b1_bound_for build_a_tower build_b_tower "
-              "c_tower_report",
+              "TowerSpec a_tower_report analyze_level analyze_tower b1_bound_for b_tower_report "
+              "build_a_tower build_b_tower c_tower_report",
     "weights": "ContractionPartition IntStatus IntVerdict PairWitness WeightTuple check_int "
                "contract enumerate_tuples find_contraction",
 }

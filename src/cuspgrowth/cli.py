@@ -47,7 +47,9 @@ from .serialize import (
 )
 from .towers import (
     TowerReport,
+    a_tower_report,
     analyze_tower,
+    b_tower_report,
     build_a_tower,
     build_b_tower,
     c_tower_report,
@@ -249,6 +251,8 @@ def _tower_views(report: TowerReport) -> Rendered:
 def _tower_run(ns: argparse.Namespace) -> Rendered:
     family = ns.family.upper()
     if family == "C":
+        if ns.emit_spec is not None:
+            raise ValidationError("--emit-spec is defined for families A and B only")
         if ns.genus is None or ns.divisors is None:
             raise ValidationError("family C needs --genus and --divisors")
         divisors = _parse_int_list(ns.divisors, "divisors")
@@ -259,16 +263,16 @@ def _tower_run(ns: argparse.Namespace) -> Rendered:
     if ns.prime is None:
         raise ValidationError(f"family {family} needs --prime")
     if family == "A":
-        build = build_a_tower
+        build, report = build_a_tower, a_tower_report
     elif family == "B":
-        build = build_b_tower
+        build, report = build_b_tower, b_tower_report
     else:
         raise ValidationError(f"unknown family {quoted(family)}; expected A, B, or C")
-    spec = build(ns.prime, ns.depth, **_cap(ns))
     if ns.emit_spec:
+        spec = build(ns.prime, ns.depth, **_cap(ns))
         with _any_int_digits():
             _write(ns.emit_spec, dumps_canonical(tower_spec_to_json(spec)))
-    return _tower_views(analyze_tower(spec))
+    return _tower_views(report(ns.prime, ns.depth, **_cap(ns)))
 
 
 def _tower_analyze(ns: argparse.Namespace) -> Rendered:
@@ -489,7 +493,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--genus", type=int, help="base-curve genus for family C")
     p.add_argument("--divisors", help="family C cusp divisors, e.g. '0,2'")
     p.add_argument("--emit-spec", default=None,
-                   help="also write the generated tower spec JSON to this path")
+                   help="families A and B: also write the generated tower spec JSON "
+                        "to this path")
     p = leaf("analyze", _tower_analyze, "analyze a tower spec from JSON ('-' reads stdin)")
     p.add_argument("--spec", required=True)
 

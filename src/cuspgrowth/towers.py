@@ -13,23 +13,30 @@ fibration's kernel sublattice.
 A tower costs one integer product per distinct images matrix: the
 images times every cusp and kernel generator of the base, stacked once
 per base, computed once per tower however many levels share it (every
-level of an A or B tower does).  A cyclic level Z/d then reads only
-gcds kept with that product: the gcd g of each cusp's slice, of the
-images row and of each kernel's slice.  The cusp's index is gcd(d, g),
-the cover is connected iff gcd(d, g) == 1 for the images row, and a
-kernel dies iff d divides its g.  Levels with two or more invariant
-factors, or none, take the indices and kernel tests of the cached
-product's slices from `_index` and `_kills` instead.  `_index` folds one
-congruence per factor into the relation lattice of a slice's columns, at
-most the base rank of them, so a level costs time linear in its rows.
+level of an A or B tower does).  The analysis reads each level as a
+pair (invariant factors, images rows) and nothing else, so
+`a_tower_report` and `b_tower_report` feed it the moduli p, ..., p^depth
+with their family's one images row and build no deck homomorphism; a
+`TowerSpec` of those levels is built only by `build_a_tower` and
+`build_b_tower`.  A cyclic level Z/d then reads only gcds kept with
+that product: the gcd g of each cusp's slice, of the images row and of
+each kernel's slice.  The cusp's index is gcd(d, g), the cover is
+connected iff gcd(d, g) == 1 for the images row, and a kernel dies iff
+d divides its g.  Levels with two or more invariant factors, or none,
+take the indices and kernel tests of the cached product's slices from
+`_index` and `_kills` instead.  `_index` folds one congruence per
+factor into the relation lattice of a slice's columns, at most the base
+rank of them, so a level costs time linear in its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
-from typing import Any, Optional, Sequence
+from itertools import accumulate, repeat
+from math import gcd, prod
+from operator import mul
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .errors import ResourceLimitError, ValidationError, quoted, reported
 from .lattice import (
@@ -244,16 +251,22 @@ def analyze_level(base: BaseSpace, rho: AbelianHom) -> LevelReport:
             f"homomorphism expects rank {rho.source_rank}, base has rank "
             f"{base.ambient_rank}"
         )
-    return _analyze(base, (rho,))[0]
+    return _analyze(base, ((rho.target.invariant_factors, rho.images.entries),))[0]
 
 
 def analyze_tower(spec: TowerSpec) -> TowerReport:
-    return TowerReport(tuple(_analyze(spec.base, spec.levels)))
+    return TowerReport(tuple(_analyze(
+        spec.base, ((rho.target.invariant_factors, rho.images.entries) for rho in spec.levels))))
 
 
-def _analyze(base: BaseSpace, levels: Sequence[AbelianHom]) -> list[LevelReport]:
-    """`analyze_level` of each level, with one product per distinct
-    images matrix (see the module docstring)."""
+def _analyze(base: BaseSpace,
+             levels: Iterable[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]
+             ) -> list[LevelReport]:
+    """`analyze_level` of each level, given as the pair (invariant
+    factors, images rows) of its homomorphism: the canonical factors of
+    the deck group and one images row per factor, each as long as the
+    base rank.  One product per distinct images matrix (see the module
+    docstring)."""
     columns, cusp_spans, fibration_spans = base._generators
     names = [cusp.name for cusp in base.cusps]
     bounds = [(b1_bound_for(fib), fib.name) for fib in base.fibrations]
@@ -261,9 +274,7 @@ def _analyze(base: BaseSpace, levels: Sequence[AbelianHom]) -> list[LevelReport]
     # for a cyclic level the gcds of its product, else the product rows.
     cache: dict[tuple[tuple[int, ...], ...], Any] = {}
     reports = []
-    for rho in levels:
-        factors = rho.target.invariant_factors
-        rows = rho.images.entries
+    for factors, rows in levels:
         images = cache.get(rows)
         if images is None:
             images = _product_rows(rows, columns)
@@ -281,7 +292,7 @@ def _analyze(base: BaseSpace, levels: Sequence[AbelianHom]) -> list[LevelReport]
             indices = [gcd(d, g) for g in g_cusps]
             killed = next((i for i, g in enumerate(g_kernels) if g % d == 0), None)
         else:
-            degree = rho.target.order
+            degree = prod(factors)
             connected = _index(factors, rows) == 1
             indices = [_index(factors, [row[span] for row in images])
                        for span in cusp_spans]
@@ -293,6 +304,12 @@ def _analyze(base: BaseSpace, levels: Sequence[AbelianHom]) -> list[LevelReport]
     return reports
 
 
+#: The images row of each built-in prime-power family: A sends v1 to a
+#: deck-group generator and v2, v3, v4 to 0, B sends every v_i to it.
+_A_IMAGES = (1, 0, 0, 0)
+_B_IMAGES = (1, 1, 1, 1)
+
+
 def build_a_tower(p: int, depth: int, cap: int = DEFAULT_DECK_BITS_CAP) -> TowerSpec:
     """The tower sending v1 to a deck-group generator and v2, v3, v4 to 0,
     with deck groups Z/p^j for j = 1..depth.
@@ -301,7 +318,7 @@ def build_a_tower(p: int, depth: int, cap: int = DEFAULT_DECK_BITS_CAP) -> Tower
     so consecutive levels form a tower of covers.  Refused when p^depth
     has more than `cap` bits.
     """
-    return _prime_power_tower(p, depth, (1, 0, 0, 0), cap)
+    return _cyclic_spec(_prime_powers(p, depth, cap), _A_IMAGES)
 
 
 def build_b_tower(p: int, depth: int, cap: int = DEFAULT_DECK_BITS_CAP) -> TowerSpec:
@@ -312,28 +329,61 @@ def build_b_tower(p: int, depth: int, cap: int = DEFAULT_DECK_BITS_CAP) -> Tower
     proper subgroup generated by 2, its cusp splits, and the constant
     cusp count 4 is lost.  Refused when p^depth has more than `cap` bits.
     """
+    return _cyclic_spec(_odd_prime_powers(p, depth, cap), _B_IMAGES)
+
+
+def a_tower_report(p: int, depth: int, cap: int = DEFAULT_DECK_BITS_CAP) -> TowerReport:
+    """`analyze_tower(build_a_tower(p, depth, cap))`, from the moduli
+    alone: the same checks, refusals and report."""
+    return _cyclic_report(_prime_powers(p, depth, cap), _A_IMAGES)
+
+
+def b_tower_report(p: int, depth: int, cap: int = DEFAULT_DECK_BITS_CAP) -> TowerReport:
+    """`analyze_tower(build_b_tower(p, depth, cap))`, from the moduli
+    alone: the same checks, refusals and report."""
+    return _cyclic_report(_odd_prime_powers(p, depth, cap), _B_IMAGES)
+
+
+def _cyclic_spec(moduli: Iterable[int], images: tuple[int, ...]) -> TowerSpec:
+    """The levels Z/m, one per modulus, over `HIRZEBRUCH`, each sending
+    v_i to images[i] times a generator."""
+    row = IntMatrix.from_rows([images])
+    return TowerSpec(HIRZEBRUCH, tuple(AbelianHom(FiniteAbelianGroup((m,)), row)
+                                       for m in moduli))
+
+
+def _cyclic_report(moduli: Iterable[int], images: tuple[int, ...]) -> TowerReport:
+    """`analyze_tower(_cyclic_spec(moduli, images))`, built from the
+    (factors, rows) pairs of its levels."""
+    rows = (images,)
+    return TowerReport(tuple(_analyze(HIRZEBRUCH, (((m,), rows) for m in moduli))))
+
+
+def _odd_prime_powers(p: int, depth: int, cap: int) -> Iterator[int]:
+    """`_prime_powers` for the B tower, which refuses p = 2 first."""
     if p == 2:
         raise ValidationError(
             "the B tower requires an odd prime: for p = 2 the diagonal "
             "boundary curve C1 no longer surjects onto the deck group and "
             "its cusp splits (total becomes 5, not 4)"
         )
-    return _prime_power_tower(p, depth, (1, 1, 1, 1), cap)
+    return _prime_powers(p, depth, cap)
 
 
-def _prime_power_tower(
-    p: int, depth: int, images: tuple[int, ...], cap: int
-) -> TowerSpec:
-    """Levels Z/p^j, j = 1..depth, over `HIRZEBRUCH`, each sending v_i to
-    images[i] times a generator.  Every level shares one images matrix,
-    and each modulus is the previous one times p.
+def _prime_powers(p: int, depth: int, cap: int) -> Iterator[int]:
+    """The moduli p, p^2, ..., p^depth of a prime-power tower, each the
+    previous one times p, after checking p and depth.
 
-    The top order p^depth has at least depth * (b - 1) + 1 bits, for b
-    the bit length of p.  When that bound is already above `cap`, the
-    refusal reports it as `errors.reported` does, and p^depth is never
-    computed.  The size check comes before the primality test, so that a
-    huge p is refused by its size rather than by trial division.
+    p and depth must be ints (bool refused).  The top order p^depth has
+    at least depth * (b - 1) + 1 bits, for b the bit length of p.  When
+    that bound is already above `cap`, the refusal reports it as
+    `errors.reported` does, and p^depth is never computed.  The size
+    check comes before the primality test, so that a huge p is refused
+    by its size rather than by trial division; depth >= 1 is checked
+    last.
     """
+    _require_int("p", p)
+    _require_int("depth", depth)
     if p >= 2 and depth >= 1:
         bits = depth * (p.bit_length() - 1) + 1
         if bits <= cap:
@@ -350,13 +400,13 @@ def _prime_power_tower(
         raise ValidationError(f"{p} is not prime")
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-    row = IntMatrix.from_rows([images])
-    levels = []
-    modulus = 1
-    for _ in range(depth):
-        modulus *= p
-        levels.append(AbelianHom(FiniteAbelianGroup((modulus,)), row))
-    return TowerSpec(HIRZEBRUCH, tuple(levels))
+    return accumulate(repeat(p, depth), mul)
+
+
+def _require_int(what: str, value: Any) -> None:
+    """Refuse a `value` that is not an int, or is a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an int, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -381,6 +431,11 @@ def c_tower_report(
     of the Euler characteristic, and the cusp over divisor d splits into
     gcd(d, j) cusps, with gcd(0, j) = j.  Refused past `cap` levels.
     """
+    _require_int("genus", genus)
+    _require_int("depth", depth)
+    divisors = list(cusp_divisors)
+    for d in divisors:
+        _require_int("a cusp divisor", d)
     if depth > cap:
         raise ResourceLimitError(
             f"family C depth {depth} is above the cap of {cap} levels", depth, cap
@@ -391,7 +446,6 @@ def c_tower_report(
         )
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-    divisors = [int(d) for d in cusp_divisors]
     if any(d < 0 for d in divisors):
         raise ValidationError("cusp divisors must be nonnegative")
     report = []

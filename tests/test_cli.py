@@ -222,6 +222,50 @@ class TestTowerCommands:
         assert code == 0
         assert out.encode() == run_path.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize("family,p,depth", [
+        ("A", 2, 1), ("A", 3, 7), ("A", 11, 40), ("B", 3, 2), ("B", 7, 25), ("B", 5, 200)])
+    def test_run_writes_what_analyze_writes_of_its_spec(self, tmp_path, capsys, family, p,
+                                                         depth, fmt):
+        spec_path = tmp_path / "spec.json"
+        code, run_out, err = run_cli(
+            capsys, "tower", "run", "--family", family, "--prime", str(p),
+            "--depth", str(depth), "--format", fmt, "--emit-spec", str(spec_path))
+        assert (code, err) == (0, "")
+        code, analyze_out, err = run_cli(capsys, "tower", "analyze", "--spec", str(spec_path),
+                                         "--format", fmt)
+        assert (code, err) == (0, "")
+        assert analyze_out == run_out
+        code, plain_out, err = run_cli(capsys, "tower", "run", "--family", family,
+                                       "--prime", str(p), "--depth", str(depth),
+                                       "--format", fmt)
+        assert (code, plain_out, err) == (0, run_out, "")
+
+    @pytest.mark.parametrize("args", [
+        ("A", "4", "3"), ("A", "1", "3"), ("B", "0", "3"), ("A", "3", "0"), ("B", "5", "-7"),
+        ("B", "2", "3"), ("B", "2", "0"), ("A", "3", "100", "--cap", "158"),
+        ("B", "3", "10", "--cap", "15"), ("A", "5", str(10**15)), ("B", "4", str(10**15)),
+    ])
+    def test_refusals_do_not_depend_on_emit_spec(self, tmp_path, capsys, args):
+        family, p, depth, *cap = args
+        argv = ["tower", "run", "--family", family, "--prime", p, "--depth", depth, *cap]
+        spec_path = tmp_path / "spec.json"
+        plain = run_cli(capsys, *argv)
+        assert plain[0] in (2, 3) and plain[1] == ""
+        assert run_cli(capsys, *argv, "--emit-spec", str(spec_path)) == plain
+        assert not spec_path.exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--genus", "2", "--divisors", "1"], ["--genus", "1", "--divisors", "-1"], [],
+        ["--genus", "2", "--divisors", "0", "--cap", "1"]])
+    def test_c_refuses_emit_spec_before_any_work(self, tmp_path, capsys, extra):
+        spec_path = tmp_path / "spec.json"
+        code, out, err = run_cli(capsys, "tower", "run", "--family", "C", "--depth", "2",
+                                 *extra, "--emit-spec", str(spec_path))
+        assert validation_message(code, err) == "--emit-spec is defined for families A and B only"
+        assert out == ""
+        assert not spec_path.exists()
+
     def test_analyze_custom_spec_with_p2_b_shape(self, tmp_path, capsys):
         # The homomorphism the B-tower builder refuses (p = 2) can still be
         # analyzed from an explicit spec; it shows the fifth cusp.

@@ -14,6 +14,7 @@ an intended output change:
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -97,6 +98,8 @@ REFUSALS = {
                      "--depth", "11", "--cap", "10"],
     "tower_c_at": ["tower", "run", "--family", "C", "--genus", "2", "--divisors", "0",
                    "--depth", "10", "--cap", "10"],
+    "tower_c_emit_spec": ["tower", "run", "--family", "C", "--genus", "2", "--divisors", "1",
+                          "--depth", "2", "--emit-spec", os.devnull],
     "spec_default": WIDE_SPEC,
     "spec_lifted": [*WIDE_SPEC, "--cap", "10010"],
     "spec_over": [*WIDE_SPEC, "--cap", "10009"],

@@ -19,7 +19,8 @@ EXPORTS = [
     "FiniteAbelianGroup", "GroupFamily", "GroupOrder", "HIRZEBRUCH", "IntMatrix", "IntStatus",
     "IntVerdict", "LevelReport", "Method", "PairWitness", "ResourceLimitError",
     "SmithDecomposition", "TowerReport", "TowerSpec", "ValidationError", "WeightTuple",
-    "analyze_level", "analyze_tower", "b1_bound_for", "brute_force_order", "build_a_tower",
+    "a_tower_report", "analyze_level", "analyze_tower", "b1_bound_for", "b_tower_report",
+    "brute_force_order", "build_a_tower",
     "build_b_tower", "c_tower_report", "check_int", "cokernel", "contract",
     "cusp_index_proxy", "d_tower_columns", "d_tower_series", "enumerate_tuples",
     "exponent_checks", "find_contraction", "fit_exponent", "image_index", "is_surjective",

@@ -13,9 +13,11 @@ from cuspgrowth import (
     IntMatrix,
     TowerSpec,
     ValidationError,
+    a_tower_report,
     analyze_level,
     analyze_tower,
     b1_bound_for,
+    b_tower_report,
     build_a_tower,
     build_b_tower,
     c_tower_report,
@@ -382,6 +384,56 @@ class TestBuildTowers:
                     assert upper.cusp_multiplicities[name] % mult == 0
 
 
+class TestTowerReportsFromModuli:
+    """`a_tower_report` and `b_tower_report` analyze the moduli of a tower
+    without building it; each must give what `analyze_tower` gives for
+    the built spec, and refuse what the builder refuses, with the same
+    error."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 30])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_reports_equal_the_analyzed_spec(self, p, depth):
+        pairs = [(a_tower_report, build_a_tower)]
+        if p > 2:
+            pairs.append((b_tower_report, build_b_tower))
+        for report, build in pairs:
+            expected = analyze_tower(build(p, depth)).levels
+            assert len(expected) == depth
+            assert list(report(p, depth).levels) == list(expected), (report, p, depth)
+
+    @pytest.mark.parametrize("p,depth,cap", [
+        (4, 3, 100), (1, 3, 100), (0, 3, 100), (3, 0, 100), (3, -7, 100), (6, 1, 100),
+        (3, 100, 158), (2, 100, 100), (5, 10**15, 10_000), (1, 10**15, 10),
+        (3.0, 2, 100), (True, 2, 100), (3, 2.0, 100), (3, "2", 100), (7, None, 100),
+    ])
+    def test_refusals_equal_the_builders(self, p, depth, cap):
+        for report, build in ((a_tower_report, build_a_tower), (b_tower_report, build_b_tower)):
+            with pytest.raises((ValidationError, ResourceLimitError)) as built:
+                build(p, depth, cap)
+            with pytest.raises(type(built.value)) as reported:
+                report(p, depth, cap)
+            assert str(reported.value) == str(built.value)
+            assert vars(reported.value) == vars(built.value)
+
+    @pytest.mark.parametrize("p,depth,what", [
+        (3.0, 2, "p must be an int, got float"),
+        (True, 2, "p must be an int, got bool"),
+        (3, 2.0, "depth must be an int, got float"),
+        (3, False, "depth must be an int, got bool"),
+        (3, "2", "depth must be an int, got str"),
+    ])
+    def test_non_int_arguments_are_refused(self, p, depth, what):
+        for call in (build_a_tower, build_b_tower, a_tower_report, b_tower_report):
+            with pytest.raises(ValidationError, match=f"^{what}$"):
+                call(p, depth)
+
+    def test_b_refuses_two_before_the_other_checks(self):
+        for depth in (0, 10**15, 2.5):
+            for call in (build_b_tower, b_tower_report):
+                with pytest.raises(ValidationError, match="odd prime"):
+                    call(2, depth, cap=1)
+
+
 class TestCTower:
     def test_single_trivial_divisor(self):
         levels = c_tower_report(2, [0], 3)
@@ -414,6 +466,20 @@ class TestCTower:
     def test_negative_divisor_guard(self):
         with pytest.raises(ValidationError, match="nonnegative"):
             c_tower_report(2, [-1], 3)
+
+    @pytest.mark.parametrize("genus,divisors,depth,what", [
+        (2, [2.7], 3, "a cusp divisor must be an int, got float"),
+        (2, ["3"], 3, "a cusp divisor must be an int, got str"),
+        (2, [b"3"], 3, "a cusp divisor must be an int, got bytes"),
+        (2, [0, True], 3, "a cusp divisor must be an int, got bool"),
+        (2.5, [0], 3, "genus must be an int, got float"),
+        (True, [0], 3, "genus must be an int, got bool"),
+        (2, [0], 3.0, "depth must be an int, got float"),
+        (2, [0], 10**9 + 0.5, "depth must be an int, got float"),
+    ])
+    def test_non_int_arguments_are_refused(self, genus, divisors, depth, what):
+        with pytest.raises(ValidationError, match=f"^{what}$"):
+            c_tower_report(genus, divisors, depth)
 
 
 class TestTowerSpec:
