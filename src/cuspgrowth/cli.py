@@ -268,7 +268,7 @@ def _tower_run(ns: argparse.Namespace) -> Rendered:
         build, report = build_b_tower, b_tower_report
     else:
         raise ValidationError(f"unknown family {quoted(family)}; expected A, B, or C")
-    if ns.emit_spec:
+    if ns.emit_spec is not None:
         spec = build(ns.prime, ns.depth, **_cap(ns))
         with _any_int_digits():
             _write(ns.emit_spec, dumps_canonical(tower_spec_to_json(spec)))
@@ -378,7 +378,7 @@ def _any_int_digits():
 def _emit(ns: argparse.Namespace, rendered: Rendered) -> None:
     with _any_int_digits():
         text = _render(ns, rendered)
-    if ns.out:
+    if ns.out is not None:
         _write(ns.out, text)
     else:
         sys.stdout.write(text)
@@ -553,6 +553,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ns = _parse(sys.argv[1:] if argv is None else argv)
         if ns.cap is not None and ns.cap < 1:
             raise ValidationError("resource caps must be positive")
+        for flag, path in (("--out", ns.out), ("--emit-spec", getattr(ns, "emit_spec", None))):
+            if path == "":
+                raise ValidationError(f"{flag} must name a file, got ''")
         _emit(ns, ns.handler(ns))
         return 0
     except ResourceLimitError as exc:

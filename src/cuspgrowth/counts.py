@@ -25,7 +25,6 @@ primes: `d_tower_columns` takes them from one sieve of a range,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, product, repeat
 from math import gcd
@@ -35,6 +34,7 @@ from typing import Optional, Sequence
 from .errors import PRINTABLE_BITS, ResourceLimitError, ValidationError, reported
 from .gf import PrimePowerField, field
 from .primes import DEFAULT_PRIME_CAP, factorize, is_prime, prime_power_base, primes_in_range
+from .values import Value
 
 #: Refuse brute-force searches whose raw matrix space exceeds this.  The
 #: slowest configurations it admits are SL(5, 2) at about 0.7 s,
@@ -63,23 +63,23 @@ class Method(str, enum.Enum):
     BRUTE_FORCE = "BRUTE_FORCE"
 
 
-@dataclass(frozen=True)
-class GroupOrder:
+class GroupOrder(Value):
     """An exact group order with its provenance.
 
     For SL2_ZN the `q` field holds the modulus N (any integer >= 2);
     for the field families it holds the prime power q.
     """
 
-    family: GroupFamily
-    m: int
-    q: int
-    order: int
-    method: Method
+    __slots__ = ("family", "m", "q", "order", "method")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, family: GroupFamily, m: int, q: int, order: int, method: Method):
+        if order < 1:
             raise ValidationError("group orders are positive")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "method", method)
 
 
 def sl2_order(n: int) -> GroupOrder:
@@ -526,19 +526,18 @@ def cusp_index_proxy(n: int, q: int) -> int:
     return _field_count(GroupFamily.SU, n + 1, q) // q ** (2 * n - 1)
 
 
-@dataclass(frozen=True)
-class DTowerDatum:
+class DTowerDatum(Value):
     """Per-prime congruence-level data: volume, b1, and cusp proxies."""
 
-    q: int
-    vol_proxy: int
-    b1_proxy: int
-    cusp_proxy: int
+    __slots__ = ("q", "vol_proxy", "b1_proxy", "cusp_proxy")
 
-    def __post_init__(self):
-        if (self.q < 1 or self.vol_proxy < 1 or self.b1_proxy < 1
-                or self.cusp_proxy < 1):
+    def __init__(self, q: int, vol_proxy: int, b1_proxy: int, cusp_proxy: int):
+        if q < 1 or vol_proxy < 1 or b1_proxy < 1 or cusp_proxy < 1:
             raise ValidationError("tower datum entries must all be positive")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "vol_proxy", vol_proxy)
+        object.__setattr__(self, "b1_proxy", b1_proxy)
+        object.__setattr__(self, "cusp_proxy", cusp_proxy)
 
 
 def d_tower_series(n: int, g: int, primes: Sequence[int]) -> list[DTowerDatum]:

@@ -12,26 +12,26 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .counts import _d_tower_columns
 from .errors import ValidationError
 from .primes import DEFAULT_PRIME_CAP, primes_in_range
+from .values import Value
 
 
-@dataclass(frozen=True)
-class ExponentFit:
-    slope: float
-    intercept: float
-    residual: float
-    points_used: int
+class ExponentFit(Value):
+    __slots__ = ("slope", "intercept", "residual", "points_used")
 
-    def __post_init__(self):
-        if self.points_used < 2:
+    def __init__(self, slope: float, intercept: float, residual: float, points_used: int):
+        if points_used < 2:
             raise ValidationError("a fit needs at least 2 points")
-        if self.residual < 0:
+        if residual < 0:
             raise ValidationError("residual cannot be negative")
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "points_used", points_used)
 
 
 def fit_exponent(pairs: Sequence[tuple[int, int]]) -> ExponentFit:

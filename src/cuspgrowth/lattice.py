@@ -16,17 +16,16 @@ section 2.4), in O(r c min(r, c)) for r factors and c generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
+from .values import Value
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """An immutable integer matrix, row-major.
 
     `cols` is stored explicitly so zero-row matrices keep their width.
@@ -35,24 +34,22 @@ class IntMatrix:
     neither `==`, `hash` nor `repr`.
     """
 
-    entries: tuple[tuple[int, ...], ...]
-    cols: int
+    __slots__ = ("entries", "cols", "__dict__")
 
-    def __post_init__(self):
-        if self.cols < 0:
+    def __init__(self, entries: tuple[tuple[int, ...], ...], cols: int):
+        if cols < 0:
             raise ValidationError("column count cannot be negative")
         normalized = []
-        for r, row in enumerate(self.entries):
+        for r, row in enumerate(entries):
             row = tuple(row)
-            if len(row) != self.cols:
-                raise ValidationError(
-                    f"row {r} has {len(row)} entries, expected {self.cols}"
-                )
+            if len(row) != cols:
+                raise ValidationError(f"row {r} has {len(row)} entries, expected {cols}")
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise ValidationError(f"matrix entries must be ints, got {v!r}")
             normalized.append(row)
         object.__setattr__(self, "entries", tuple(normalized))
+        object.__setattr__(self, "cols", cols)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -135,13 +132,15 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Value):
     """U @ A @ V = D with U, V unimodular and D in Smith normal form."""
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
+    __slots__ = ("u", "d", "v")
+
+    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "v", v)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -288,8 +287,7 @@ def _kills(factors: Sequence[int], image_rows: Iterable[Sequence[int]]) -> bool:
     return all(x % d == 0 for row, d in zip(image_rows, factors) for x in row)
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Value):
     """A finite abelian group given by its invariant factors.
 
     Canonical form: factors equal to 1 are dropped, the remaining ones
@@ -298,12 +296,13 @@ class FiniteAbelianGroup:
     rejected here: deck groups must be finite.
     """
 
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self):
-        factors = self.invariant_factors
+    def __init__(self, invariant_factors: tuple[int, ...] = ()):
+        factors = invariant_factors
         if (type(factors) is tuple and len(factors) == 1 and type(factors[0]) is int
                 and factors[0] > 1):
+            object.__setattr__(self, "invariant_factors", factors)
             return  # one factor above 1 is already canonical
         kept = []
         for d in factors:
@@ -334,8 +333,7 @@ class FiniteAbelianGroup:
         return prod(self.invariant_factors)
 
 
-@dataclass(frozen=True)
-class AbelianHom:
+class AbelianHom(Value):
     """A homomorphism Z^k -> G for a finite abelian group G.
 
     `images` has one row per invariant factor of the target and one
@@ -344,21 +342,21 @@ class AbelianHom:
     (the given matrix is kept when it is already reduced).
     """
 
-    target: FiniteAbelianGroup
-    images: IntMatrix
+    __slots__ = ("target", "images")
 
-    def __post_init__(self):
-        if self.images.rows != self.target.rank:
+    def __init__(self, target: FiniteAbelianGroup, images: IntMatrix):
+        if images.rows != target.rank:
             raise ValidationError(
-                f"images matrix has {self.images.rows} rows but the target "
-                f"has {self.target.rank} invariant factors"
+                f"images matrix has {images.rows} rows but the target "
+                f"has {target.rank} invariant factors"
             )
-        factors = self.target.invariant_factors
-        if any(lo < 0 or hi >= d for (lo, hi), d in zip(self.images._row_bounds, factors)):
-            reduced = IntMatrix(tuple(tuple(x % d for x in row)
-                                      for row, d in zip(self.images.entries, factors)),
-                                self.images.cols)
-            object.__setattr__(self, "images", reduced)
+        factors = target.invariant_factors
+        if any(lo < 0 or hi >= d for (lo, hi), d in zip(images._row_bounds, factors)):
+            images = IntMatrix(tuple(tuple(x % d for x in row)
+                                     for row, d in zip(images.entries, factors)),
+                               images.cols)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
 
     @property
     def source_rank(self) -> int:

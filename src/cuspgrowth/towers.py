@@ -31,7 +31,6 @@ rank of them, so a level costs time linear in its rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
 from math import gcd, prod
@@ -49,26 +48,25 @@ from .lattice import (
     smith_normal_form,
 )
 from .primes import is_prime
+from .values import Value
 
 
-@dataclass(frozen=True)
-class CuspData:
+class CuspData(Value):
     """A boundary curve: its name and the sublattice of Z^k generated by
     the images of its fundamental group (columns = generators)."""
 
-    name: str
-    sublattice: IntMatrix
+    __slots__ = ("name", "sublattice")
 
-    def __post_init__(self):
-        rank = smith_normal_form(self.sublattice).rank
-        if rank != self.sublattice.cols:
+    def __init__(self, name: str, sublattice: IntMatrix):
+        if smith_normal_form(sublattice).rank != sublattice.cols:
             raise ValidationError(
-                f"cusp {quoted(self.name)}: sublattice generators are linearly dependent"
+                f"cusp {quoted(name)}: sublattice generators are linearly dependent"
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "sublattice", sublattice)
 
 
-@dataclass(frozen=True)
-class FibrationData:
+class FibrationData(Value):
     """A fibration of the base over a curve group of free rank `target_rank`,
     with fiber a genus `fiber_genus` surface with `fiber_punctures` punctures.
 
@@ -76,51 +74,54 @@ class FibrationData:
     map; covers whose homomorphism also kills it inherit the fibration.
     """
 
-    name: str
-    kernel_sublattice: IntMatrix
-    target_rank: int
-    fiber_genus: int
-    fiber_punctures: int
+    __slots__ = ("name", "kernel_sublattice", "target_rank", "fiber_genus", "fiber_punctures")
 
-    def __post_init__(self):
-        if self.target_rank < 1:
-            raise ValidationError(f"fibration {quoted(self.name)}: target rank must be >= 1")
-        if self.fiber_genus < 0 or self.fiber_punctures < 0:
+    def __init__(self, name: str, kernel_sublattice: IntMatrix, target_rank: int,
+                 fiber_genus: int, fiber_punctures: int):
+        if target_rank < 1:
+            raise ValidationError(f"fibration {quoted(name)}: target rank must be >= 1")
+        if fiber_genus < 0 or fiber_punctures < 0:
             raise ValidationError(
-                f"fibration {quoted(self.name)}: genus and puncture count must be >= 0"
+                f"fibration {quoted(name)}: genus and puncture count must be >= 0"
             )
-        if 2 * self.fiber_genus + self.fiber_punctures - 1 < 1:
+        if 2 * fiber_genus + fiber_punctures - 1 < 1:
             raise ValidationError(
-                f"fibration {quoted(self.name)}: fiber must be hyperbolic or parabolic "
+                f"fibration {quoted(name)}: fiber must be hyperbolic or parabolic "
                 "(2g + b - 1 >= 1)"
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kernel_sublattice", kernel_sublattice)
+        object.__setattr__(self, "target_rank", target_rank)
+        object.__setattr__(self, "fiber_genus", fiber_genus)
+        object.__setattr__(self, "fiber_punctures", fiber_punctures)
 
 
-@dataclass(frozen=True)
-class BaseSpace:
+class BaseSpace(Value):
     """The covering-space bookkeeping of a cusped base: ambient rank k,
     cusp sublattices, and available fibrations."""
 
-    ambient_rank: int
-    cusps: tuple[CuspData, ...]
-    fibrations: tuple[FibrationData, ...] = ()
+    __slots__ = ("ambient_rank", "cusps", "fibrations", "__dict__")
 
-    def __post_init__(self):
-        names = [c.name for c in self.cusps] + [f.name for f in self.fibrations]
+    def __init__(self, ambient_rank: int, cusps: tuple[CuspData, ...],
+                 fibrations: tuple[FibrationData, ...] = ()):
+        names = [c.name for c in cusps] + [f.name for f in fibrations]
         if len(set(names)) != len(names):
             raise ValidationError("cusp and fibration names must be distinct")
-        for c in self.cusps:
-            if c.sublattice.rows != self.ambient_rank:
+        for c in cusps:
+            if c.sublattice.rows != ambient_rank:
                 raise ValidationError(
                     f"cusp {quoted(c.name)} sublattice has {c.sublattice.rows} rows, "
-                    f"expected {self.ambient_rank}"
+                    f"expected {ambient_rank}"
                 )
-        for f in self.fibrations:
-            if f.kernel_sublattice.rows != self.ambient_rank:
+        for f in fibrations:
+            if f.kernel_sublattice.rows != ambient_rank:
                 raise ValidationError(
                     f"fibration {quoted(f.name)} kernel has {f.kernel_sublattice.rows} rows, "
-                    f"expected {self.ambient_rank}"
+                    f"expected {ambient_rank}"
                 )
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "cusps", cusps)
+        object.__setattr__(self, "fibrations", fibrations)
 
     @cached_property
     def _generators(self) -> tuple[tuple[tuple[int, ...], ...], list[slice], list[slice]]:
@@ -186,24 +187,23 @@ DEFAULT_DECK_BITS_CAP = 10_000
 DEFAULT_C_DEPTH_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class TowerSpec:
+class TowerSpec(Value):
     """A base space together with one deck homomorphism per level."""
 
-    base: BaseSpace
-    levels: tuple[AbelianHom, ...]
+    __slots__ = ("base", "levels")
 
-    def __post_init__(self):
-        for idx, rho in enumerate(self.levels):
-            if rho.source_rank != self.base.ambient_rank:
+    def __init__(self, base: BaseSpace, levels: tuple[AbelianHom, ...]):
+        for idx, rho in enumerate(levels):
+            if rho.source_rank != base.ambient_rank:
                 raise ValidationError(
                     f"level {idx}: homomorphism expects rank {rho.source_rank}, "
-                    f"base has rank {self.base.ambient_rank}"
+                    f"base has rank {base.ambient_rank}"
                 )
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "levels", levels)
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(Value):
     """Per-level covering data.
 
     `total_cusps` is None for disconnected covers (the count is only
@@ -212,17 +212,25 @@ class LevelReport:
     method then gives no bound.
     """
 
-    degree: int
-    connected: bool
-    cusp_multiplicities: dict[str, int]
-    total_cusps: Optional[int]
-    b1_bound: Optional[int]
-    factoring_fibration: Optional[str]
+    __slots__ = ("degree", "connected", "cusp_multiplicities", "total_cusps", "b1_bound",
+                 "factoring_fibration")
+
+    def __init__(self, degree: int, connected: bool, cusp_multiplicities: dict[str, int],
+                 total_cusps: Optional[int], b1_bound: Optional[int],
+                 factoring_fibration: Optional[str]):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "cusp_multiplicities", cusp_multiplicities)
+        object.__setattr__(self, "total_cusps", total_cusps)
+        object.__setattr__(self, "b1_bound", b1_bound)
+        object.__setattr__(self, "factoring_fibration", factoring_fibration)
 
 
-@dataclass(frozen=True)
-class TowerReport:
-    levels: tuple[LevelReport, ...]
+class TowerReport(Value):
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: tuple[LevelReport, ...]):
+        object.__setattr__(self, "levels", levels)
 
 
 def b1_bound_for(fib: FibrationData) -> int:
@@ -372,16 +380,18 @@ def _odd_prime_powers(p: int, depth: int, cap: int) -> Iterator[int]:
 
 def _prime_powers(p: int, depth: int, cap: int) -> Iterator[int]:
     """The moduli p, p^2, ..., p^depth of a prime-power tower, each the
-    previous one times p, after checking p and depth.
+    previous one times p, after checking p, depth and cap.
 
-    p and depth must be ints (bool refused).  The top order p^depth has
-    at least depth * (b - 1) + 1 bits, for b the bit length of p.  When
+    p, depth and cap must be ints (bool refused), and cap positive; cap
+    is checked first.  The top order p^depth has at least
+    depth * (b - 1) + 1 bits, for b the bit length of p.  When
     that bound is already above `cap`, the refusal reports it as
     `errors.reported` does, and p^depth is never computed.  The size
     check comes before the primality test, so that a huge p is refused
     by its size rather than by trial division; depth >= 1 is checked
     last.
     """
+    _require_cap(cap)
     _require_int("p", p)
     _require_int("depth", depth)
     if p >= 2 and depth >= 1:
@@ -409,14 +419,23 @@ def _require_int(what: str, value: Any) -> None:
         raise ValidationError(f"{what} must be an int, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class CTowerLevel:
+def _require_cap(cap: Any) -> None:
+    """Refuse a resource cap that is not a positive int, as the CLI does."""
+    _require_int("cap", cap)
+    if cap < 1:
+        raise ValidationError("resource caps must be positive")
+
+
+class CTowerLevel(Value):
     """One level of a cyclic-cover tower over a compact genus-g surface."""
 
-    level: int
-    degree: int
-    b1_surface: int
-    total_cusps: int
+    __slots__ = ("level", "degree", "b1_surface", "total_cusps")
+
+    def __init__(self, level: int, degree: int, b1_surface: int, total_cusps: int):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "b1_surface", b1_surface)
+        object.__setattr__(self, "total_cusps", total_cusps)
 
 
 def c_tower_report(
@@ -429,8 +448,10 @@ def c_tower_report(
     image in Z is d*Z (d = 0 for trivial image).  Level j is the degree-j
     cyclic cover: b1 of the surface is 2 + j*(2g - 2) by multiplicativity
     of the Euler characteristic, and the cusp over divisor d splits into
-    gcd(d, j) cusps, with gcd(0, j) = j.  Refused past `cap` levels.
+    gcd(d, j) cusps, with gcd(0, j) = j.  Refused past `cap` levels; `cap`
+    must be a positive int.
     """
+    _require_cap(cap)
     _require_int("genus", genus)
     _require_int("depth", depth)
     divisors = list(cusp_divisors)

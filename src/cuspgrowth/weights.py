@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 from typing import Iterator, Optional, Sequence
 
 from .errors import PRINTABLE_BITS, ResourceLimitError, ValidationError, quoted, reported
+from .values import Value
 
 #: Refuse `enumerate_tuples` searches whose raw candidate count exceeds this.
 DEFAULT_ENUMERATION_CAP = 5_000_000
@@ -63,8 +63,7 @@ def parse_fraction(text: str) -> Fraction:
         raise ValidationError(f"cannot parse exact rational from {quoted(text)}") from exc
 
 
-@dataclass(frozen=True)
-class WeightTuple:
+class WeightTuple(Value):
     """An ordered tuple of exact rational weights.
 
     Invariants, enforced at construction:
@@ -74,11 +73,10 @@ class WeightTuple:
     * the weights sum to exactly 2.
     """
 
-    weights: tuple[Fraction, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        ws = tuple([w if type(w) is Fraction else Fraction(w) for w in self.weights])
-        object.__setattr__(self, "weights", ws)
+    def __init__(self, weights: tuple[Fraction, ...]):
+        ws = tuple([w if type(w) is Fraction else Fraction(w) for w in weights])
         if len(ws) < 4:
             raise ValidationError(
                 f"weight tuple must have length >= 4, got length {len(ws)}"
@@ -92,6 +90,7 @@ class WeightTuple:
         d = lcm(*[q for _, q in ratios])
         if sum([p * (d // q) for p, q in ratios]) != 2 * d:
             raise ValidationError(f"weights must sum to exactly 2, got {sum(ws)}")
+        object.__setattr__(self, "weights", ws)
 
     @classmethod
     def parse(cls, text: str) -> "WeightTuple":
@@ -122,17 +121,18 @@ class IntVerdict(str, enum.Enum):
     FAIL = "FAIL"
 
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(Value):
     """An index pair {i, j} together with the offending value (1 - mu_i - mu_j)^-1."""
 
-    i: int
-    j: int
-    value: Fraction
+    __slots__ = ("i", "j", "value")
+
+    def __init__(self, i: int, j: int, value: Fraction):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class IntStatus:
+class IntStatus(Value):
     """Result of the integrality test on a weight tuple.
 
     `half_witnesses` lists the pairs that needed the half-integral
@@ -140,15 +140,17 @@ class IntStatus:
     excuse.  INT means both lists are empty.
     """
 
-    verdict: IntVerdict
-    half_witnesses: tuple[PairWitness, ...] = ()
-    fail_witnesses: tuple[PairWitness, ...] = ()
+    __slots__ = ("verdict", "half_witnesses", "fail_witnesses")
 
-    def __post_init__(self):
-        if self.verdict is IntVerdict.INT and self.half_witnesses:
+    def __init__(self, verdict: IntVerdict, half_witnesses: tuple[PairWitness, ...] = (),
+                 fail_witnesses: tuple[PairWitness, ...] = ()):
+        if verdict is IntVerdict.INT and half_witnesses:
             raise ValidationError("INT verdict cannot carry half-integral witnesses")
-        if self.verdict is IntVerdict.FAIL and not self.fail_witnesses:
+        if verdict is IntVerdict.FAIL and not fail_witnesses:
             raise ValidationError("FAIL verdict requires at least one witness")
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "half_witnesses", half_witnesses)
+        object.__setattr__(self, "fail_witnesses", fail_witnesses)
 
 
 def _numerators(ws: Sequence[Fraction], d: int) -> list[int]:
@@ -218,19 +220,17 @@ def check_int(mu: WeightTuple) -> IntStatus:
     return _int_status(_numerators(mu.weights, d), d)
 
 
-@dataclass(frozen=True)
-class ContractionPartition:
+class ContractionPartition(Value):
     """A partition of the index set {0, ..., k-1} of a source tuple.
 
     Stored in canonical form: each block ascending, blocks ordered by
     their smallest element.  Indices are 0-based.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        canonical = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
-        object.__setattr__(self, "blocks", canonical)
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
+        canonical = tuple(sorted(tuple(sorted(b)) for b in blocks))
         seen: set[int] = set()
         for block in canonical:
             if not block:
@@ -239,6 +239,7 @@ class ContractionPartition:
                 if idx in seen:
                     raise ValidationError(f"index {idx} appears in two blocks")
                 seen.add(idx)
+        object.__setattr__(self, "blocks", canonical)
 
     def indices(self) -> set[int]:
         return {i for block in self.blocks for i in block}

@@ -443,6 +443,23 @@ class TestTowerCommands:
         assert out == ""
         assert "cannot write" in validation_message(code, err)
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["dm", "check", "--tuple", "2/6,2/6,3/6,4/6,1/6", "--out", ""], "--out"),
+        (["tower", "run", "--family", "A", "--prime", "3", "--depth", "2", "--emit-spec", ""],
+         "--emit-spec"),
+        (["tower", "run", "--family", "C", "--genus", "2", "--divisors", "1", "--depth", "2",
+          "--emit-spec", ""], "--emit-spec"),
+        (["tower", "run", "--family", "A", "--prime", "4", "--depth", "2", "--out", ""],
+         "--out"),
+    ])
+    def test_empty_output_path_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       argv, flag):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert validation_message(code, err) == f"{flag} must name a file, got ''"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 def decimal(n):
     """str(n) past the interpreter's int-to-decimal digit limit."""

@@ -6,7 +6,8 @@ every format it supports (csv is not defined for the `dm check`,
 whose deck groups have rank 2 and 3, so non-cyclic cokernels are
 covered.  `refusals.json` pins the exit code and the exact stderr of
 every resource guard at its cap, one past it, and lifted by `--cap`,
-with the default caps and with explicit ones.  Regenerate them only for
+with the default caps and with explicit ones, and the refusal of an
+empty `--out` or `--emit-spec` path.  Regenerate them only for
 an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -132,6 +133,9 @@ REFUSALS = {
     "exponents_over": ["congruence", "exponents", *PRIMES, "--cap", "1000049"],
     "dtower_default": ["congruence", "dtower", *PRIMES],
     "dtower_lifted": ["congruence", "dtower", *PRIMES, "--cap", "1000050"],
+    "out_empty": ["dm", "check", "--tuple", "2/6,2/6,3/6,4/6,1/6", "--out", ""],
+    "emit_spec_empty": ["tower", "run", "--family", "A", "--prime", "3", "--depth", "2",
+                        "--emit-spec", ""],
 }
 
 

@@ -70,10 +70,10 @@ def test_unknown_name_is_an_attribute_error():
 
 @pytest.mark.parametrize("statement, modules", [
     ("from cuspgrowth import WeightTuple",
-     {"cuspgrowth", "cuspgrowth.errors", "cuspgrowth.weights"}),
+     {"cuspgrowth", "cuspgrowth.errors", "cuspgrowth.values", "cuspgrowth.weights"}),
     ("from cuspgrowth import build_a_tower",
      {"cuspgrowth", "cuspgrowth.errors", "cuspgrowth.lattice", "cuspgrowth.primes",
-      "cuspgrowth.towers"}),
+      "cuspgrowth.towers", "cuspgrowth.values"}),
 ], ids=["WeightTuple", "build_a_tower"])
 def test_a_name_loads_only_its_modules(statement, modules):
     assert loaded_after(statement) == modules
@@ -97,3 +97,27 @@ def test_cli_loads_every_traced_layer():
         "                  for name in names\n"
         "                  if not hasattr(sys.modules.get(f'cuspgrowth.{layer}'), name)]))")
     assert json.loads(missing) == []
+
+
+#: Modules whose import the package's records no longer pay for.
+NOT_AT_START_UP = ("dataclasses", "inspect")
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    out = fresh("import sys\nimport cuspgrowth.cli\n"
+                f"print(' '.join(m for m in {NOT_AT_START_UP!r} if m in sys.modules))")
+    assert out.split() == []
+
+
+def test_a_cli_run_loads_no_dataclass_machinery():
+    """`-X importtime` names, on stderr, every module a `python -m cuspgrowth`
+    run imports."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cuspgrowth", "dm", "check",
+                           "--tuple", "2/6,2/6,3/6,4/6,1/6"],
+                          capture_output=True, text=True, timeout=60,
+                          cwd=Path(cuspgrowth.__file__).parent.parent)
+    assert proc.returncode == 0 and "verdict: INT" in proc.stdout, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "cuspgrowth.cli" in imported
+    assert imported.isdisjoint(NOT_AT_START_UP)

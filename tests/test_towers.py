@@ -329,6 +329,29 @@ class TestSizeGuards:
             c_tower_report(2, [0], 11, cap=10)
         assert (info.value.space, info.value.cap) == (11, 10)
 
+    @pytest.mark.parametrize("cap,what", [
+        ("5", "cap must be an int, got str"),
+        (2.5, "cap must be an int, got float"),
+        (True, "cap must be an int, got bool"),
+        (None, "cap must be an int, got NoneType"),
+        (0, "resource caps must be positive"),
+        (-9, "resource caps must be positive"),
+    ])
+    def test_cap_must_be_a_positive_int(self, cap, what):
+        for call, args in ((build_a_tower, (3, 2)), (build_b_tower, (3, 2)),
+                           (a_tower_report, (3, 2)), (b_tower_report, (3, 2)),
+                           (c_tower_report, (2, [0], 3))):
+            with pytest.raises(ValidationError, match=f"^{what}$"):
+                call(*args, cap=cap)
+            # The cap is checked before the other arguments.
+            with pytest.raises(ValidationError, match=f"^{what}$"):
+                call(*((2.5,) + args[1:]), cap=cap)
+
+    def test_a_cap_of_one_is_admitted(self):
+        assert len(c_tower_report(2, [0], 1, cap=1)) == 1
+        with pytest.raises(ResourceLimitError):
+            build_a_tower(2, 1, cap=1)  # 2 has 2 bits
+
 
 class TestBuildTowers:
     def test_a_tower_levels(self):
